@@ -33,6 +33,10 @@ DEFAULT_FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 RAW_HEADER = ["dataset", "sampler", "fraction", "measure", "repetition", "rng_seed", "value"]
 SUMMARY_HEADER = ["dataset", "sampler", "fraction", "measure", "mean", "std", "R"]
 EXACT_BETWEENNESS_LIMIT = 10_000
+# the runner sets target_size, rng_seed and seed_nodes for every cell
+RUNNER_KEYS = {"target_size", "rng_seed", "seed_nodes"}
+SAMPLER_CONFIG_KEYS = set(SamplerConfig.__dataclass_fields__) - RUNNER_KEYS
+NODE2VEC_KEYS = ("node2vec_p", "node2vec_q")
 
 
 @dataclass
@@ -48,12 +52,13 @@ class ExperimentSpec:
     repetitions: int = 10
     base_seed: int = 0
     seeds: tuple | None = None
-    seed_policy: str = "uniform"  # or "smallest_block"
+    seed_policy: str = "uniform"
     seed_regions: tuple = ()
     betweenness_pivots: int = 200
     output_dir: str = "results"
 
     KINDS = ("centrality_comparison", "community", "attribute")
+    SEED_POLICIES = ("uniform", "smallest_block")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -68,11 +73,23 @@ class ExperimentSpec:
             if len(self.seeds) < self.repetitions:
                 raise ValidationError("fixed seed list shorter than repetitions")
         self.samplers = [
-            {"name": s["name"], "config": dict(s.get("config", {}))} for s in self.samplers
+            {"name": s["name"], "config": dict(s.get("config") or {})} for s in self.samplers
         ]
+        if self.seed_policy not in self.SEED_POLICIES:
+            raise ValidationError(
+                f"unknown seed_policy {self.seed_policy!r}; "
+                f"allowed: {', '.join(self.SEED_POLICIES)}"
+            )
         for s in self.samplers:
             if s["name"] not in SAMPLERS:
                 raise ValidationError(f"unknown sampler {s['name']!r}")
+            allowed = SAMPLER_CONFIG_KEYS.union(NODE2VEC_KEYS if s["name"] == "node2vec" else ())
+            unknown = sorted(set(s["config"]) - allowed)
+            if unknown:
+                raise ValidationError(
+                    f"sampler {s['name']!r}: unknown config key(s) {unknown}; "
+                    f"allowed: {sorted(allowed)}"
+                )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -165,7 +182,7 @@ def _pick_seed_node(
 def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> tuple[SamplerConfig, dict]:
     raw = dict(entry["config"])
     extras = {}
-    for key in ("node2vec_p", "node2vec_q"):
+    for key in NODE2VEC_KEYS:
         if key in raw:
             extras[key] = float(raw.pop(key))
     cfg = SamplerConfig(

@@ -8,6 +8,7 @@ file ids and return the mapping alongside the graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Protocol
 
@@ -61,7 +62,7 @@ class Graph:
 
     ``out_adj`` and ``in_adj`` are exact transposes: edge ``(i -> j, w)``
     appears in ``out_adj[i]`` iff ``(i, w)`` appears in ``in_adj[j]``. For
-    undirected graphs the edge set is symmetric. All weights are >= 0.
+    undirected graphs the edge set is symmetric. All weights are finite and >= 0.
     """
 
     def __init__(self, n: int, src, dst, w, directed: bool):
@@ -72,6 +73,8 @@ class Graph:
             raise ValidationError("edge arrays must have equal length")
         if src.size and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ValidationError("edge endpoint out of range")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("edge weight is NaN or infinite")
         if np.any(w < 0):
             raise ValidationError("negative edge weight")
         self.n = int(n)
@@ -240,8 +243,8 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
                 wt = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError as exc:
                 raise ParseError(f"malformed line: {exc}", path, line_no) from None
-            if wt < 0:
-                raise ValidationError(f"{path}:{line_no}: negative weight {wt}")
+            if not math.isfinite(wt) or wt < 0:
+                raise ValidationError(f"{path}:{line_no}: weight {wt} must be finite and >= 0")
             src.append(a)
             dst.append(b)
             w.append(wt)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -113,12 +114,26 @@ class Leaderboard:
     full, the lowest score is evicted (ties: the latest insertion goes).
     Scores are computed at insertion time and not refreshed unless the owner
     rescans entries (``rescore_on_pop`` mode).
+
+    Two binary heaps find the best and the worst entry in O(log capacity):
+    the best-heap is keyed by ``(-score, insertion_step)``, the worst-heap by
+    ``(score, -insertion_step)``. A rescore pushes fresh heap entries and
+    leaves the old ones behind; removals leave theirs behind too. A heap
+    entry is live only while its version is the node's current one, and dead
+    entries are skipped when they reach the top. Both heaps are rebuilt from
+    the live entries once either holds ``COMPACT_FACTOR * capacity`` items.
     """
+
+    COMPACT_FACTOR = 4
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self._entries: dict[int, list] = {}  # node -> [score, insertion_step, epoch]
+        # node -> [score, insertion_step, epoch, version]
+        self._entries: dict[int, list] = {}
+        self._best: list[tuple] = []  # (-score, step, node, version)
+        self._worst: list[tuple] = []  # (score, -step, node, version)
         self._steps = 0
+        self._versions = 0
         self.evictions = 0
 
     def __len__(self):
@@ -133,24 +148,49 @@ class Leaderboard:
     def entries(self) -> list[tuple[int, float, int]]:
         return [(node, e[0], e[1]) for node, e in self._entries.items()]
 
+    def _push(self, node: int, ent: list) -> None:
+        self._versions += 1
+        ent[3] = self._versions
+        heapq.heappush(self._best, (-ent[0], ent[1], node, ent[3]))
+        heapq.heappush(self._worst, (ent[0], -ent[1], node, ent[3]))
+        limit = self.COMPACT_FACTOR * self.capacity
+        if len(self._best) > limit or len(self._worst) > limit:
+            self._best = [(-e[0], e[1], v, e[3]) for v, e in self._entries.items()]
+            self._worst = [(e[0], -e[1], v, e[3]) for v, e in self._entries.items()]
+            heapq.heapify(self._best)
+            heapq.heapify(self._worst)
+
+    def _pop_live(self, heap: list) -> int:
+        """Pop dead entries off ``heap``, then the live top; return its node."""
+        while True:
+            _, _, node, version = heapq.heappop(heap)
+            ent = self._entries.get(node)
+            if ent is not None and ent[3] == version:
+                del self._entries[node]
+                return node
+
+    def _rescore(self, node: int, ent: list, score: float, epoch: int) -> None:
+        changed = ent[0] != score
+        ent[0] = score
+        ent[2] = epoch
+        if changed:
+            self._push(node, ent)
+
     def offer(self, node: int, score: float, epoch: int = 0) -> None:
         ent = self._entries.get(node)
         if ent is not None:
             # fresher score, original insertion order
-            ent[0] = score
-            ent[2] = epoch
+            self._rescore(node, ent, score, epoch)
             return
         self._steps += 1
-        self._entries[node] = [score, self._steps, epoch]
+        ent = self._entries[node] = [score, self._steps, epoch, 0]
+        self._push(node, ent)
         if len(self._entries) > self.capacity:
-            worst = min(self._entries, key=lambda v: (self._entries[v][0], -self._entries[v][1]))
-            del self._entries[worst]
+            self._pop_live(self._worst)
             self.evictions += 1
 
     def set_score(self, node: int, score: float, epoch: int) -> None:
-        ent = self._entries[node]
-        ent[0] = score
-        ent[2] = epoch
+        self._rescore(node, self._entries[node], score, epoch)
 
     def stale_nodes(self, epoch: int) -> list[int]:
         return [node for node, e in self._entries.items() if e[2] != epoch]
@@ -158,9 +198,7 @@ class Leaderboard:
     def pop_best(self) -> int | None:
         if not self._entries:
             return None
-        best = max(self._entries, key=lambda v: (self._entries[v][0], -self._entries[v][1]))
-        del self._entries[best]
-        return int(best)
+        return int(self._pop_live(self._best))
 
     def discard(self, node: int) -> None:
         self._entries.pop(node, None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -78,6 +80,15 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     At each step the border node maximizing ``|N(v) \\ (S u N(S))|`` joins
     the sample, with N the undirected neighborhood; ties break on the
     smallest node id, so the run is fully deterministic given the seed.
+
+    The selection is lazy greedy: a gain can only shrink as the closure
+    ``S u N(S)`` grows, so each border node sits once in a heap keyed by
+    ``(-gain, node)`` with the gain it had when last evaluated, and the
+    sample size at that time. A top entry evaluated at the current size is
+    exact and, as no entry understates its gain, the exact argmax; an older
+    top entry is re-evaluated and goes back with its fresh gain. Counters:
+    ``border_peak`` is the largest border size and ``gain_evals`` the number
+    of gain evaluations.
     """
     n = g.node_count()
     cfg.validate(n)
@@ -93,41 +104,46 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
             nbh_cache[v] = arr
         return arr
 
-    member = np.zeros(n, dtype=bool)
     closure = np.zeros(n, dtype=bool)  # S union N(S)
-    border: set[int] = set()
+    seen = np.zeros(n, dtype=bool)  # S union border
+    heap: list[tuple[int, int, int]] = []  # (-gain, node, size at evaluation)
     nodes: list[int] = []
+    counters = {"border_peak": 0, "gain_evals": 0}
+
+    def gain(v):
+        counters["gain_evals"] += 1
+        return int(np.count_nonzero(~closure[nbh(v)]))
 
     def admit(v):
         nodes.append(v)
-        member[v] = True
+        seen[v] = True
         closure[v] = True
-        border.discard(v)
         nb = nbh(v)
         closure[nb] = True
-        for u in nb[~member[nb]]:
-            border.add(int(u))
+        fresh = nb[~seen[nb]]
+        seen[fresh] = True
+        for u in fresh:
+            u = int(u)
+            heapq.heappush(heap, (-gain(u), u, len(nodes)))
+        counters["border_peak"] = max(counters["border_peak"], len(heap))
 
     admit(seed)
     while len(nodes) < m:
-        if not border:
+        if not heap:
             raise partial_error(
                 f"expansion border exhausted at {len(nodes)}/{m} nodes",
                 nodes,
                 ["xs"] * len(nodes),
-                {},
+                dict(counters),
             )
-        best, best_gain = None, -1
-        for v in sorted(border):
-            nb = nbh(v)
-            gain = int(np.count_nonzero(~closure[nb]))
-            if gain > best_gain:
-                best, best_gain = v, gain
-        admit(best)
+        while heap[0][2] != len(nodes):
+            v = heap[0][1]
+            heapq.heapreplace(heap, (-gain(v), v, len(nodes)))
+        admit(heapq.heappop(heap)[1])
     return SampleResult(
         nodes=nodes,
         tags=["xs"] * len(nodes),
-        counters={"border_peak": len(border)},
+        counters=counters,
         config=cfg.echo(sampler="xs"),
     )
 

@@ -8,8 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from netsample.errors import PartialSampleError, ValidationError
 from netsample.graph import Graph
+
+# property tests draw the same examples on every run
+settings.register_profile("netsample", derandomize=True, max_examples=60, deadline=None)
+settings.load_profile("netsample")
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -78,6 +84,110 @@ def dense_tcpr_score(a: np.ndarray, members, j: int, gamma: float) -> float:
     b3 = t[o_idx, j].sum()
     b1u = float(t[j, s_idx] @ t[np.ix_(s_idx, o_idx)].sum(axis=1))
     return float(b1 + b1u - b3)
+
+
+# -- linear-scan selector oracles --------------------------------------
+
+
+class ReferenceLeaderboard:
+    """Leaderboard by full scans: pop is the max of ``(score, -step)``,
+    eviction the min of the same key."""
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self._entries: dict[int, list] = {}  # node -> [score, insertion_step, epoch]
+        self._steps = 0
+        self.evictions = 0
+
+    def __len__(self):
+        return len(self._entries)
+
+    def entries(self):
+        return [(node, e[0], e[1]) for node, e in self._entries.items()]
+
+    def offer(self, node, score, epoch=0):
+        ent = self._entries.get(node)
+        if ent is not None:
+            ent[0] = score
+            ent[2] = epoch
+            return
+        self._steps += 1
+        self._entries[node] = [score, self._steps, epoch]
+        if len(self._entries) > self.capacity:
+            worst = min(self._entries, key=lambda v: (self._entries[v][0], -self._entries[v][1]))
+            del self._entries[worst]
+            self.evictions += 1
+
+    def set_score(self, node, score, epoch):
+        ent = self._entries[node]
+        ent[0] = score
+        ent[2] = epoch
+
+    def stale_nodes(self, epoch):
+        return [node for node, e in self._entries.items() if e[2] != epoch]
+
+    def pop_best(self):
+        if not self._entries:
+            return None
+        best = max(self._entries, key=lambda v: (self._entries[v][0], -self._entries[v][1]))
+        del self._entries[best]
+        return int(best)
+
+    def discard(self, node):
+        self._entries.pop(node, None)
+
+
+def brute_expansion(g: Graph, target_size: int, seed: int):
+    """Greedy expansion by rescoring the sorted border at every step.
+
+    Returns ``(nodes, counters)``; ``counters["gain_evals"]`` is the number
+    of gain evaluations a full rescan makes (the border size summed over
+    steps). Raises the same ``PartialSampleError`` as the sampler when the
+    border runs dry.
+    """
+    n = g.n
+    if not 1 <= target_size <= n:
+        raise ValidationError(f"target size {target_size} not in 1..{n}")
+    if not 0 <= seed < n:
+        raise ValidationError(f"seed node {seed} out of range")
+
+    def nbh(v):
+        nb = set(map(int, g.out_neighbors(v)[0])) | set(map(int, g.in_neighbors(v)[0]))
+        nb.discard(v)
+        return nb
+
+    member: set[int] = set()
+    closure: set[int] = set()
+    border: set[int] = set()
+    nodes: list[int] = []
+    counters = {"border_peak": 0, "gain_evals": 0}
+
+    def admit(v):
+        nodes.append(v)
+        member.add(v)
+        closure.add(v)
+        border.discard(v)
+        closure.update(nbh(v))
+        border.update(nbh(v) - member)
+        counters["border_peak"] = max(counters["border_peak"], len(border))
+
+    admit(seed)
+    while len(nodes) < target_size:
+        if not border:
+            raise PartialSampleError(
+                f"expansion border exhausted at {len(nodes)}/{target_size} nodes",
+                nodes=nodes,
+                tags=["xs"] * len(nodes),
+                counters=dict(counters),
+            )
+        best, best_gain = None, -1
+        for v in sorted(border):
+            counters["gain_evals"] += 1
+            gain = len(nbh(v) - closure)
+            if gain > best_gain:
+                best, best_gain = v, gain
+        admit(best)
+    return nodes, counters
 
 
 # -- brute-force measure oracles --------------------------------------

@@ -160,3 +160,17 @@ def test_experiment_run_bad_spec_exits_1(tmp_path):
                                          "samplers": [{"name": "nope"}]}))
     r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
     assert r.exit_code == 1
+
+
+def test_experiment_run_bad_sampler_key_exits_with_message(tmp_path):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "kind": "community",
+        "input": {"sbm": SBM_YAML},
+        "samplers": [{"name": "tcec", "config": {"capacity": 5}}],
+    }))
+    r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
+    assert r.exit_code == 1
+    assert "sampler 'tcec': unknown config key(s) ['capacity']" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)

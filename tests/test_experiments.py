@@ -57,6 +57,40 @@ def test_spec_validation():
         ExperimentSpec.from_dict({"kind": "community", "bogus_key": 1})
 
 
+def test_spec_rejects_unknown_seed_policy():
+    with pytest.raises(ValidationError, match="'smalest_block'.*uniform, smallest_block"):
+        small_spec(seed_policy="smalest_block")
+    assert small_spec(seed_policy="smallest_block").seed_policy == "smallest_block"
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("tcec", "leaderboard_capcity"),
+        ("rw", "target_size"),
+        ("rn", "rng_seed"),
+        ("tcpr", "seed_nodes"),
+        ("rw", "node2vec_p"),
+        ("xs", "node2vec_q"),
+    ],
+)
+def test_spec_rejects_unknown_sampler_config_key(name, key):
+    with pytest.raises(ValidationError, match=f"sampler '{name}'.*'{key}'"):
+        small_spec(samplers=[{"name": name, "config": {key: 1}}])
+
+
+def test_spec_accepts_known_sampler_config_keys():
+    spec = small_spec(
+        samplers=[
+            {"name": "tcec", "config": {"leaderboard_capacity": 10, "alpha": 0.3}},
+            {"name": "node2vec", "config": {"node2vec_p": 1.0, "node2vec_q": 2.0}},
+            {"name": "rw", "config": None},
+        ]
+    )
+    assert spec.samplers[1]["config"] == {"node2vec_p": 1.0, "node2vec_q": 2.0}
+    assert spec.samplers[2]["config"] == {}
+
+
 def test_spec_yaml_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.yaml"

@@ -62,6 +62,18 @@ def test_validation_rejects_bad_edges():
         Graph(2, [0, 1], [1], [1.0], directed=True)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_rejected(tmp_path, bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        Graph(2, [0], [1], [bad], directed=True)
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        Graph.from_edges(3, [(0, 1, 1.0), (1, 2, bad)], directed=False)
+    path = tmp_path / "g.txt"
+    path.write_text(f"1 2\n2 3 {bad}\n")
+    with pytest.raises(ValidationError, match=r"g\.txt:2: weight .* must be finite"):
+        load_edge_list(path, directed=True)
+
+
 def test_edge_list_round_trip(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# comment\n10 30\n30 20 2.5\n\n20 10\n")

@@ -1,0 +1,130 @@
+"""Heap-based selectors against their linear-scan oracles.
+
+The crawl's ``Leaderboard`` and the expansion sampler both pick a maximum
+with lazily invalidated heaps. These tests drive them with random operation
+sequences and random small graphs and require exactly what a full scan gives.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netsample.errors import PartialSampleError, ValidationError
+from netsample.graph import Graph
+from netsample.samplers import SamplerConfig, sample_expansion
+from netsample.samplers.base import Leaderboard
+from netsample.synth import SbmSpec, generate_sbm
+
+from conftest import ReferenceLeaderboard, brute_expansion
+
+NODE = st.integers(0, 15)
+SCORE = st.integers(0, 4)
+EPOCH = st.integers(0, 2)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"), NODE, SCORE, EPOCH),
+        st.tuples(st.just("offer"), NODE, SCORE, EPOCH),
+        st.tuples(st.just("set_score"), NODE, SCORE, EPOCH),
+        st.tuples(st.just("discard"), NODE),
+        st.tuples(st.just("pop_best")),
+        st.tuples(st.just("stale_nodes"), EPOCH),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=300)
+@given(capacity=st.integers(1, 8), ops=OPS)
+def test_leaderboard_matches_linear_scan_model(capacity, ops):
+    heap_lb, ref_lb = Leaderboard(capacity), ReferenceLeaderboard(capacity)
+    for op in ops:
+        name, args = op[0], op[1:]
+        if name == "set_score" and args[0] not in ref_lb._entries:
+            continue  # rescoring needs an entry on the board
+        if name in ("offer", "set_score"):
+            args = (args[0], float(args[1]), args[2])
+        got = getattr(heap_lb, name)(*args)
+        want = getattr(ref_lb, name)(*args)
+        assert got == want, op
+        assert sorted(heap_lb.entries()) == sorted(ref_lb.entries())
+        assert len(heap_lb) == len(ref_lb)
+        assert heap_lb.evictions == ref_lb.evictions
+
+
+def test_leaderboard_heaps_stay_bounded_under_rescoring():
+    lb = Leaderboard(5)
+    for v in range(5):
+        lb.offer(v, 0.0)
+    for step in range(1, 200):
+        for v in lb.stale_nodes(step):
+            lb.set_score(v, float(step % 7 + v), step)
+    limit = Leaderboard.COMPACT_FACTOR * lb.capacity
+    assert len(lb._best) <= limit and len(lb._worst) <= limit
+    assert lb.pop_best() == 4
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))  # self-loops allowed
+    return Graph.from_edges(n, edges, directed=directed)
+
+
+@given(g=small_graphs(), data=st.data())
+def test_expansion_matches_brute_force(g, data):
+    m = data.draw(st.integers(1, g.n))
+    seed = data.draw(st.integers(0, g.n - 1))
+    try:
+        want_nodes, want_counters = brute_expansion(g, m, seed)
+    except PartialSampleError as exc:
+        with pytest.raises(PartialSampleError) as got:
+            sample_expansion(g, SamplerConfig(target_size=m, seed_nodes=(seed,)))
+        assert str(got.value) == str(exc)
+        assert got.value.nodes == exc.nodes
+        assert got.value.tags == exc.tags
+        assert got.value.counters["border_peak"] == exc.counters["border_peak"]
+        return
+    r = sample_expansion(g, SamplerConfig(target_size=m, seed_nodes=(seed,)))
+    assert r.nodes == want_nodes
+    assert r.tags == ["xs"] * m
+    assert r.counters["border_peak"] == want_counters["border_peak"]
+
+
+def test_expansion_rejects_bad_seed_like_brute_force():
+    g = Graph.from_edges(3, [(0, 1)], directed=True)
+    with pytest.raises(ValidationError):
+        brute_expansion(g, 2, 5)
+    with pytest.raises(ValidationError):
+        sample_expansion(g, SamplerConfig(target_size=2, seed_nodes=(5,)))
+
+
+def _border_sizes(g, nodes):
+    """Border size |N(S) minus S| after each admission, by replay."""
+    member = np.zeros(g.n, dtype=bool)
+    closure = np.zeros(g.n, dtype=bool)
+    sizes = []
+    for v in nodes:
+        member[v] = closure[v] = True
+        closure[g.out_neighbors(v)[0]] = True
+        closure[g.in_neighbors(v)[0]] = True
+        sizes.append(int(np.count_nonzero(closure & ~member)))
+    return sizes
+
+
+def test_expansion_counters_on_sbm():
+    g, _ = generate_sbm(
+        SbmSpec(block_sizes=(500, 700, 800), p_in=0.01, p_out=0.001, rng_seed=3)
+    )
+    r = sample_expansion(g, SamplerConfig(target_size=400, rng_seed=4))
+    sizes = _border_sizes(g, r.nodes)
+    assert r.counters["border_peak"] == max(sizes)
+    assert r.counters["border_peak"] > sizes[-1]  # peak, not the final border
+    # a full rescan evaluates every border node before each admission
+    brute_evals = sum(sizes[:-1])
+    assert r.counters["gain_evals"] < brute_evals / 10
+    again = sample_expansion(g, SamplerConfig(target_size=400, rng_seed=4))
+    assert again.counters == r.counters
