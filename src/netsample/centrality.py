@@ -8,7 +8,6 @@ two spectral measures agree on orientation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .graph import Graph
+
+# betweenness runs BLOCK_SLOTS // (n + num_edges) sources at a time (at
+# least one), which keeps its per-block key and edge arrays to a few MB;
+# larger blocks were no faster
+BLOCK_SLOTS = 1 << 18
 
 
 @dataclass
@@ -108,45 +112,97 @@ def in_degree_centrality(g: Graph) -> CentralityVector:
     return CentralityVector(g.in_strength.copy(), "indegree")
 
 
+def pivot_sources(n: int, count: int, seed: int) -> list[int]:
+    """``min(count, n)`` distinct pivot nodes drawn uniformly, in ascending order."""
+    if count < 1:
+        raise ValidationError(f"pivot count must be >= 1, got {count}")
+    rng = np.random.default_rng(seed)
+    return sorted(int(v) for v in rng.choice(n, size=min(count, n), replace=False))
+
+
 def betweenness(g: Graph, sources=None) -> CentralityVector:
     """Brandes betweenness over hop-count shortest paths, endpoints excluded.
 
     ``sources`` restricts the accumulation to a pivot subset; with all
     sources (the default) the result is exact.
+
+    The sources run in blocks (see ``BLOCK_SLOTS`` and
+    ``_block_dependencies``). Every score receives the same float
+    operations in the same order as the one-source-at-a-time queue loop, so
+    the result does not depend on the block size.
     """
     n = g.n
     if sources is None:
-        sources = range(n)
-    # plain python adjacency is faster than repeated CSR slicing here
-    adj = [list(map(int, g.out_neighbors(i)[0])) for i in range(n)]
+        sources = np.arange(n, dtype=np.int64)
+    else:
+        sources = np.asarray(list(sources))
+        if sources.size and sources.dtype.kind not in "iu":
+            raise ValidationError(f"betweenness sources must be node ids, got {sources.dtype} values")
+        sources = sources.astype(np.int64)
+        bad = sources[(sources < 0) | (sources >= n)]
+        if bad.size:
+            raise ValidationError(f"betweenness source {int(bad[0])} not in 0..{n - 1}")
+    block = max(1, BLOCK_SLOTS // max(1, n + g.num_edges))
     bc = np.zeros(n, dtype=np.float64)
-    for s in sources:
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        dep = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + dep[w]) / sigma[w]
-            for v in preds[w]:
-                dep[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += dep[w]
+    for lo in range(0, sources.size, block):
+        roots = sources[lo : lo + block]
+        dep = _block_dependencies(g, roots).reshape(roots.size, n)
+        for row, s in zip(dep, roots):
+            row[s] = 0.0
+            bc += row
     return CentralityVector(bc, "betweenness")
+
+
+def _gather(indptr, nbrs, keys, n):
+    """CSR neighbours of every key ``j*n + v``, in key order: ``(key index, j*n + u)``."""
+    v = keys % n
+    start = indptr[v]
+    cnt = indptr[v + 1] - start
+    owner = np.repeat(np.arange(keys.size), cnt)
+    pos = np.arange(owner.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return owner, nbrs[start[owner] + pos] + (keys - v)[owner]
+
+
+def _block_dependencies(g: Graph, roots: np.ndarray) -> np.ndarray:
+    """Brandes dependencies of each root, flat with key ``j*n + v`` for root ``j``.
+
+    A level-synchronous BFS from all roots at once. A level's out-edges are
+    taken in frontier order and a new key is placed at its first discovery,
+    which is the queue order of a single-source BFS, so path counts and
+    dependencies are summed in that loop's order (``np.add.at`` applies its
+    updates in index order). The backward pass walks the levels deepest
+    first, each in reverse discovery order.
+    """
+    n = g.n
+    size = roots.size * n
+    dist = np.full(size, -1, dtype=np.int32)
+    sigma = np.zeros(size, dtype=np.float64)
+    first = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+    frontier = np.arange(roots.size, dtype=np.int64) * n + roots
+    dist[frontier] = 0
+    sigma[frontier] = 1.0
+    levels = [frontier]
+    while True:
+        owner, child = _gather(g._out_indptr, g._out_dst, frontier, n)
+        fresh = dist[child] < 0
+        owner, child = owner[fresh], child[fresh]
+        if not child.size:
+            break
+        np.add.at(sigma, child, sigma[frontier[owner]])
+        pos = np.arange(child.size, dtype=np.int64)
+        np.minimum.at(first, child, pos)
+        frontier = child[first[child] == pos]
+        dist[frontier] = len(levels)
+        levels.append(frontier)
+    dep = np.zeros(size, dtype=np.float64)
+    for level in range(len(levels) - 1, 0, -1):
+        keys = levels[level][::-1]
+        coeff = (1.0 + dep[keys]) / sigma[keys]
+        owner, parent = _gather(g._in_indptr, g._in_src, keys, n)
+        pred = dist[parent] == level - 1
+        owner, parent = owner[pred], parent[pred]
+        np.add.at(dep, parent, sigma[parent] * coeff[owner])
+    return dep
 
 
 def springrank(g: Graph, reg: float = 1.0, tol: float = 1e-10, max_iter: int | None = None) -> CentralityVector:

@@ -11,7 +11,7 @@ import click
 import yaml
 
 from . import __version__
-from .centrality import MEASURES, betweenness
+from .centrality import MEASURES, betweenness, pivot_sources
 from .errors import NetsampleError, PartialSampleError
 from .experiments import (
     EXACT_BETWEENNESS_LIMIT,
@@ -24,8 +24,6 @@ from .experiments import (
 from .graph import load_edge_list
 from .samplers import SAMPLERS, SamplerConfig
 from .synth import SbmSpec, generate_sbm
-
-import numpy as np
 
 
 def _wrap_errors(fn):
@@ -132,7 +130,7 @@ def sample(
 @click.option("--max-iter", type=int, default=1000, show_default=True)
 @click.option("--reg", type=float, default=1.0, show_default=True, help="SpringRank regularization.")
 @click.option("--exact/--approximate", "exact", default=True, show_default=True, help="Betweenness mode.")
-@click.option("--pivots", type=int, default=200, show_default=True, help="Betweenness pivot count.")
+@click.option("--pivots", type=click.IntRange(min=1), default=200, show_default=True, help="Betweenness pivot count.")
 @click.option("--pivot-seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), required=True, help="CSV output path.")
 @_wrap_errors
@@ -156,11 +154,7 @@ def centrality(
                 )
             vec = betweenness(g)
         else:
-            rng = np.random.default_rng(pivot_seed)
-            sources = sorted(
-                int(v) for v in rng.choice(g.n, size=min(pivots, g.n), replace=False)
-            )
-            vec = betweenness(g, sources=sources)
+            vec = betweenness(g, sources=pivot_sources(g.n, pivots, pivot_seed))
     else:
         vec = MEASURES[measure](g)
     vec.save_csv(output)

@@ -15,17 +15,19 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .centrality import MEASURES, CentralityVector, betweenness
+from .centrality import MEASURES, CentralityVector, betweenness, pivot_sources
 from .errors import PartialSampleError, UndefinedCorrelationError, ValidationError
 from .graph import Graph, LabeledPartition, induced_subgraph, load_edge_list, load_labels
 from .metrics import entropy_ratio, kendall_tau, kl_divergence, label_histogram
 from .samplers import SAMPLERS, SamplerConfig
+from .samplers.base import is_integer, is_real
 from .synth import SbmSpec, generate_sbm, plant_attributes
 
 CACHE_ENV_VAR = "NETSAMPLE_CACHE_DIR"
@@ -72,16 +74,18 @@ class ExperimentSpec:
             self.seeds = tuple(int(s) for s in self.seeds)
             if len(self.seeds) < self.repetitions:
                 raise ValidationError("fixed seed list shorter than repetitions")
-        self.samplers = [
-            {"name": s["name"], "config": dict(s.get("config") or {})} for s in self.samplers
-        ]
+        if not is_integer(self.betweenness_pivots) or self.betweenness_pivots < 1:
+            raise ValidationError(
+                f"betweenness_pivots must be an integer >= 1, got {self.betweenness_pivots!r}"
+            )
+        self.samplers = [_sampler_entry(s) for s in self.samplers]
         if self.seed_policy not in self.SEED_POLICIES:
             raise ValidationError(
                 f"unknown seed_policy {self.seed_policy!r}; "
                 f"allowed: {', '.join(self.SEED_POLICIES)}"
             )
         for s in self.samplers:
-            if s["name"] not in SAMPLERS:
+            if not isinstance(s["name"], str) or s["name"] not in SAMPLERS:
                 raise ValidationError(f"unknown sampler {s['name']!r}")
             allowed = SAMPLER_CONFIG_KEYS.union(NODE2VEC_KEYS if s["name"] == "node2vec" else ())
             unknown = sorted(set(s["config"]) - allowed)
@@ -90,6 +94,10 @@ class ExperimentSpec:
                     f"sampler {s['name']!r}: unknown config key(s) {unknown}; "
                     f"allowed: {sorted(allowed)}"
                 )
+            try:
+                _build_config(s, 1, 0, 0)[0].validate(1)
+            except ValidationError as exc:
+                raise ValidationError(f"sampler {s['name']!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -121,6 +129,18 @@ class ExperimentSpec:
             "betweenness_pivots": self.betweenness_pivots,
             "output_dir": str(self.output_dir),
         }
+
+
+def _sampler_entry(entry) -> dict:
+    """Normalize one ``{name, config}`` sampler entry of a spec."""
+    if not isinstance(entry, Mapping) or "name" not in entry or set(entry) - {"name", "config"}:
+        raise ValidationError(
+            f"sampler entry {entry!r}: expected a mapping {{name: <sampler>, config: {{...}}}}"
+        )
+    config = entry.get("config") or {}
+    if not isinstance(config, Mapping):
+        raise ValidationError(f"sampler {entry['name']!r}: config must be a mapping, got {config!r}")
+    return {"name": entry["name"], "config": dict(config)}
 
 
 def load_input(spec: ExperimentSpec) -> tuple[Graph, LabeledPartition | None]:
@@ -184,7 +204,10 @@ def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> tuple[S
     extras = {}
     for key in NODE2VEC_KEYS:
         if key in raw:
-            extras[key] = float(raw.pop(key))
+            value = raw.pop(key)
+            if not is_real(value):
+                raise ValidationError(f"{key} must be a real number, got {value!r}")
+            extras[key] = float(value)
     cfg = SamplerConfig(
         target_size=m, rng_seed=rng_seed, seed_nodes=(seed_node,), **raw
     )
@@ -239,11 +262,7 @@ def full_centrality(
         if key.exists():
             return CentralityVector(np.load(key), measure)
     if measure == "betweenness" and "pivots" in params:
-        pivot_rng = np.random.default_rng(spec.base_seed)
-        sources = sorted(
-            int(v) for v in pivot_rng.choice(g.n, size=min(params["pivots"], g.n), replace=False)
-        )
-        vec = betweenness(g, sources=sources)
+        vec = betweenness(g, sources=pivot_sources(g.n, params["pivots"], spec.base_seed))
     else:
         vec = MEASURES[measure](g)
     if key is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -14,6 +15,14 @@ from ..errors import PartialSampleError, ValidationError
 # specifies sink handling, so the constant is recorded in every result
 RESTART_PROB = 0.15
 STEP_BUDGET_FACTOR = 1000
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -37,7 +46,19 @@ class SamplerConfig:
     def __post_init__(self):
         self.seed_nodes = tuple(int(s) for s in self.seed_nodes)
 
+    INT_FIELDS = ("target_size", "leaderboard_capacity", "rng_seed")
+    REAL_FIELDS = ("rw_init_fraction", "alpha", "exploration_p", "damping")
+
     def validate(self, n: int) -> None:
+        for name in self.INT_FIELDS:
+            if not is_integer(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in self.REAL_FIELDS:
+            value = getattr(self, name)
+            if not (is_real(value) or (name == "alpha" and value is None)):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.rescore_on_pop, (bool, np.bool_)):
+            raise ValidationError(f"rescore_on_pop must be true or false, got {self.rescore_on_pop!r}")
         if not 1 <= self.target_size <= n:
             raise ValidationError(f"target size {self.target_size} not in 1..{n}")
         if self.leaderboard_capacity < 1:
@@ -232,11 +253,16 @@ class SampleState:
 
 
 def neighborhood(g, node: int) -> np.ndarray:
-    """Distinct in- and out-neighbors of ``node``, excluding ``node`` itself."""
+    """Distinct in- and out-neighbors of ``node``, excluding ``node`` itself.
+
+    An undirected graph's in-list equals its out-list, which is sorted and
+    distinct already, so only a directed graph (or an access object that
+    does not say) needs the merge.
+    """
     out_idx, _ = g.out_neighbors(node)
-    in_idx, _ = g.in_neighbors(node)
-    nb = np.union1d(out_idx, in_idx)
-    return nb[nb != node]
+    if getattr(g, "directed", True):
+        out_idx = np.union1d(out_idx, g.in_neighbors(node)[0])
+    return out_idx[out_idx != node]
 
 
 def walk_until_new(g, rng, current, sampled, member_mask, budget):

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netsample.centrality import (
+    BLOCK_SLOTS,
     CentralityVector,
     betweenness,
     eigenvector_centrality,
     in_degree_centrality,
     pagerank,
+    pivot_sources,
     springrank,
 )
 from netsample.errors import ValidationError
 from netsample.graph import Graph
+from netsample.synth import SbmSpec, generate_sbm
 
-from conftest import brute_betweenness, dense_adjacency, random_digraph
+from conftest import brute_betweenness, dense_adjacency, random_digraph, reference_betweenness
 
 
 def strongly_connected_digraph(n, p, rng):
@@ -122,6 +127,70 @@ def test_betweenness_all_sources_equals_default(rng):
     assert np.array_equal(
         betweenness(g).scores, betweenness(g, sources=range(15)).scores
     )
+
+
+def bitwise_equal(a, b) -> bool:
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def graphs_with_sources(draw):
+    """Small graphs with sinks, isolated nodes, self-loops and duplicate
+    edges, plus all sources or an unsorted subset with a repeated source."""
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    g = Graph.from_edges(n, edges, directed=draw(st.booleans()))
+    sources = draw(st.one_of(st.none(), st.lists(node, min_size=1, max_size=2 * n)))
+    if sources is not None:
+        sources.append(sources[0])
+    return g, sources
+
+
+@given(graphs_with_sources())
+def test_betweenness_bitwise_equals_reference_loop(case):
+    g, sources = case
+    got = betweenness(g, sources=sources).scores
+    assert bitwise_equal(got, reference_betweenness(g, sources))
+
+
+def test_betweenness_bitwise_on_dense_random_graphs(rng):
+    # parents with three or more children make the summation order visible
+    for trial in range(40):
+        n = int(rng.integers(20, 60))
+        m = int(rng.integers(3 * n, 8 * n))
+        g = Graph.from_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), directed=trial % 2 == 0)
+        assert bitwise_equal(betweenness(g).scores, reference_betweenness(g))
+
+
+def test_betweenness_bitwise_across_source_blocks():
+    g, _ = generate_sbm(SbmSpec(block_sizes=[1500, 1500], p_in=8e-3, p_out=1e-3, directed=True, rng_seed=7))
+    sources = pivot_sources(g.n, 24, seed=3)[::-1]
+    sources.append(sources[5])
+    # the sources span several blocks of the vectorized pass
+    assert len(sources) > 2 * (BLOCK_SLOTS // (g.n + g.num_edges)) > 2
+    got = betweenness(g, sources=sources).scores
+    assert bitwise_equal(got, reference_betweenness(g, sources))
+
+
+def test_betweenness_rejects_bad_sources():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
+    for bad in (-1, 3):
+        with pytest.raises(ValidationError, match=f"source {bad} not in 0..2"):
+            betweenness(g, sources=[0, bad])
+    for bad in ([0, 1.5], [True]):
+        with pytest.raises(ValidationError, match="must be node ids"):
+            betweenness(g, sources=bad)
+    assert not betweenness(g, sources=[]).scores.any()
+
+
+def test_pivot_sources():
+    want = sorted(int(v) for v in np.random.default_rng(5).choice(50, size=7, replace=False))
+    assert pivot_sources(50, 7, 5) == want
+    assert pivot_sources(4, 10, 0) == [0, 1, 2, 3]
+    for bad in (0, -3):
+        with pytest.raises(ValidationError, match="pivot count"):
+            pivot_sources(50, bad, 0)
 
 
 def test_springrank_solves_linear_system(rng):

@@ -123,6 +123,19 @@ def test_centrality_exact_betweenness_limit(tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
 
 
+
+def test_centrality_rejects_non_positive_pivots(tmp_path):
+    edges = write_edge_list(tmp_path)
+    r = CliRunner().invoke(
+        cli,
+        ["centrality", "--edge-list", str(edges), "--measure", "betweenness",
+         "--approximate", "--pivots", "0", "--output", str(tmp_path / "bc.csv")],
+    )
+    assert r.exit_code == 2
+    assert "Invalid value for '--pivots': 0 is not in the range x>=1" in r.output
+    assert not (tmp_path / "bc.csv").exists()
+
+
 def test_experiment_run_and_report(tmp_path):
     spec = {
         "kind": "community",
@@ -172,5 +185,19 @@ def test_experiment_run_bad_sampler_key_exits_with_message(tmp_path):
     r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
     assert r.exit_code == 1
     assert "sampler 'tcec': unknown config key(s) ['capacity']" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
+def test_experiment_run_badly_typed_config_exits_with_message(tmp_path):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "kind": "community",
+        "input": {"sbm": SBM_YAML},
+        "samplers": [{"name": "tcec", "config": {"leaderboard_capacity": "10"}}],
+    }))
+    r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
+    assert r.exit_code == 1
+    assert "sampler 'tcec': leaderboard_capacity must be an integer, got '10'" in r.output
     assert "Traceback" not in r.output
     assert isinstance(r.exception, SystemExit)

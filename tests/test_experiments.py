@@ -91,6 +91,45 @@ def test_spec_accepts_known_sampler_config_keys():
     assert spec.samplers[2]["config"] == {}
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("tcec", "sampler entry 'tcec': expected a mapping {name: <sampler>, config: {...}}"),
+        ({"config": {}}, "sampler entry {'config': {}}: expected a mapping"),
+        ({"name": "rw", "confg": {}}, "sampler entry .*'confg'.*: expected a mapping"),
+        ({"name": ["rw"]}, "unknown sampler \\['rw'\\]"),
+        ({"name": "rw", "config": [1]}, "sampler 'rw': config must be a mapping, got \\[1\\]"),
+    ],
+)
+def test_spec_rejects_malformed_sampler_entry(entry, message):
+    with pytest.raises(ValidationError, match=message):
+        small_spec(samplers=[{"name": "rn"}, entry])
+
+
+@pytest.mark.parametrize(
+    "name, config, message",
+    [
+        ("tcec", {"leaderboard_capacity": "10"}, "leaderboard_capacity must be an integer, got '10'"),
+        ("tcpr", {"leaderboard_capacity": True}, "leaderboard_capacity must be an integer"),
+        ("tcec", {"alpha": "0.3"}, "alpha must be a real number"),
+        ("rw", {"damping": None}, "damping must be a real number"),
+        ("tcec", {"rescore_on_pop": "yes"}, "rescore_on_pop must be true or false"),
+        ("node2vec", {"node2vec_q": "2"}, "node2vec_q must be a real number"),
+        ("tcec", {"exploration_p": 2}, "exploration_p must lie in"),
+    ],
+)
+def test_spec_rejects_badly_typed_sampler_config(name, config, message):
+    with pytest.raises(ValidationError, match=f"sampler '{name}': {message}"):
+        small_spec(samplers=[{"name": name, "config": config}])
+
+
+def test_spec_rejects_bad_betweenness_pivots():
+    for bad in (0, -3, 2.5, "10"):
+        with pytest.raises(ValidationError, match="betweenness_pivots must be an integer >= 1"):
+            small_spec(betweenness_pivots=bad)
+    assert small_spec(betweenness_pivots=1).betweenness_pivots == 1
+
+
 def test_spec_yaml_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.yaml"

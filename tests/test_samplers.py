@@ -19,7 +19,7 @@ from netsample.samplers import (
     tcec_score,
     tcpr_score,
 )
-from netsample.samplers.base import Leaderboard, SampleState
+from netsample.samplers.base import Leaderboard, SampleState, neighborhood
 from netsample.samplers.baselines import node2vec_step_weights
 from netsample.samplers.tcpr import init_delta, recompute_delta, update_deltas_on_admit
 
@@ -47,6 +47,33 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SamplerConfig(target_size=5, damping=1.0).validate(10)
     SamplerConfig(target_size=5).validate(10)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("leaderboard_capacity", "10", "leaderboard_capacity must be an integer, got '10'"),
+        ("leaderboard_capacity", True, "leaderboard_capacity must be an integer"),
+        ("rng_seed", 1.0, "rng_seed must be an integer"),
+        ("target_size", np.float64(5), "target_size must be an integer"),
+        ("exploration_p", "0.1", "exploration_p must be a real number"),
+        ("alpha", False, "alpha must be a real number"),
+        ("rescore_on_pop", 1, "rescore_on_pop must be true or false"),
+    ],
+)
+def test_config_validation_checks_types(field, value, message):
+    cfg = SamplerConfig(target_size=5)
+    setattr(cfg, field, value)
+    with pytest.raises(ValidationError, match=message):
+        cfg.validate(10)
+
+
+def test_config_validation_accepts_numpy_and_integer_reals():
+    cfg = SamplerConfig(
+        target_size=np.int64(5), leaderboard_capacity=3, damping=0, alpha=np.float32(0.5),
+        rescore_on_pop=np.True_,
+    )
+    cfg.validate(10)
 
 
 def test_alpha_resolution():
@@ -286,3 +313,16 @@ def test_tcpr_run_skips_dangling_candidates(rng):
     assert "dangling_skipped" in r.counters
     crit = [v for v, t in zip(r.nodes, r.tags) if t == "criterion"]
     assert all(g.out_strength[v] > 0 for v in crit)
+
+
+def test_neighborhood_on_undirected_graphs_equals_union(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        m = int(rng.integers(0, 3 * n))
+        # self-loops and duplicate pairs included
+        g = Graph.from_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), directed=False)
+        for v in range(n):
+            union = np.union1d(g.out_neighbors(v)[0], g.in_neighbors(v)[0])
+            got = neighborhood(g, v)
+            assert np.array_equal(got, union[union != v])
+            assert got.dtype == union.dtype
