@@ -109,12 +109,10 @@ def sample(
         seed_nodes=seed_node,
         rng_seed=rng_seed,
         rescore_on_pop=rescore_on_pop,
+        node2vec_p=n2v_p,
+        node2vec_q=n2v_q,
     )
-    fn = SAMPLERS[sampler]
-    if sampler == "node2vec":
-        result = fn(g, cfg, p=n2v_p, q=n2v_q)
-    else:
-        result = fn(g, cfg)
+    result = SAMPLERS[sampler](g, cfg)
     out = Path(output)
     result.save(out.with_suffix(".json"), out.with_suffix(".nodes.txt"))
     click.echo(f"sampled {len(result.nodes)} nodes -> {out.with_suffix('.json')}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -37,8 +38,8 @@ SUMMARY_HEADER = ["dataset", "sampler", "fraction", "measure", "mean", "std", "R
 EXACT_BETWEENNESS_LIMIT = 10_000
 # the runner sets target_size, rng_seed and seed_nodes for every cell
 RUNNER_KEYS = {"target_size", "rng_seed", "seed_nodes"}
-SAMPLER_CONFIG_KEYS = set(SamplerConfig.__dataclass_fields__) - RUNNER_KEYS
-NODE2VEC_KEYS = ("node2vec_p", "node2vec_q")
+NODE2VEC_KEYS = {"node2vec_p", "node2vec_q"}
+SAMPLER_CONFIG_KEYS = set(SamplerConfig.__dataclass_fields__) - RUNNER_KEYS - NODE2VEC_KEYS
 
 
 @dataclass
@@ -65,19 +66,24 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
+        for f in _entries("fractions", self.fractions):
+            _require("fractions entry", f, "a real number in (0, 1]", is_real(f) and 0.0 < f <= 1.0)
         self.fractions = tuple(float(f) for f in self.fractions)
-        if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ValidationError("fractions must lie in (0, 1]")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
+        for name, low in (("repetitions", 1), ("betweenness_pivots", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            _require(name, value, f"an integer >= {low}", is_integer(value) and value >= low)
         if self.seeds is not None:
+            for s in _entries("seeds", self.seeds):
+                _require("seeds entry", s, "an integer >= 0", is_integer(s) and s >= 0)
             self.seeds = tuple(int(s) for s in self.seeds)
             if len(self.seeds) < self.repetitions:
                 raise ValidationError("fixed seed list shorter than repetitions")
-        if not is_integer(self.betweenness_pivots) or self.betweenness_pivots < 1:
-            raise ValidationError(
-                f"betweenness_pivots must be an integer >= 1, got {self.betweenness_pivots!r}"
-            )
+        self.seed_regions = _entries("seed_regions", self.seed_regions)
+        for name in _entries("measures", self.measures):
+            if name not in MEASURES:
+                raise ValidationError(
+                    f"unknown measure {name!r}; allowed: {', '.join(sorted(MEASURES))}"
+                )
         self.samplers = [_sampler_entry(s) for s in self.samplers]
         if self.seed_policy not in self.SEED_POLICIES:
             raise ValidationError(
@@ -95,7 +101,7 @@ class ExperimentSpec:
                     f"allowed: {sorted(allowed)}"
                 )
             try:
-                _build_config(s, 1, 0, 0)[0].validate(1)
+                _build_config(s, 1, 0, 0).validate(1)
             except ValidationError as exc:
                 raise ValidationError(f"sampler {s['name']!r}: {exc}") from None
 
@@ -129,6 +135,17 @@ class ExperimentSpec:
             "betweenness_pivots": self.betweenness_pivots,
             "output_dir": str(self.output_dir),
         }
+
+
+def _entries(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _require(name: str, value, what: str, ok: bool) -> None:
+    if not ok:
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
 def _sampler_entry(entry) -> dict:
@@ -199,28 +216,10 @@ def _pick_seed_node(
     return int(rng.integers(g.n))
 
 
-def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> tuple[SamplerConfig, dict]:
-    raw = dict(entry["config"])
-    extras = {}
-    for key in NODE2VEC_KEYS:
-        if key in raw:
-            value = raw.pop(key)
-            if not is_real(value):
-                raise ValidationError(f"{key} must be a real number, got {value!r}")
-            extras[key] = float(value)
-    cfg = SamplerConfig(
-        target_size=m, rng_seed=rng_seed, seed_nodes=(seed_node,), **raw
+def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> SamplerConfig:
+    return SamplerConfig(
+        target_size=m, rng_seed=rng_seed, seed_nodes=(seed_node,), **entry["config"]
     )
-    return cfg, extras
-
-
-def run_sampler(name: str, g: Graph, cfg: SamplerConfig, extras: dict):
-    fn = SAMPLERS[name]
-    if name == "node2vec":
-        return fn(
-            g, cfg, p=extras.get("node2vec_p", 2.0), q=extras.get("node2vec_q", 0.5)
-        )
-    return fn(g, cfg)
 
 
 # -- ground-truth centrality cache ------------------------------------
@@ -244,15 +243,30 @@ def cache_dir(default_root) -> Path:
     return path
 
 
+def _pivoted(g: Graph, measure: str) -> bool:
+    return measure == "betweenness" and g.n > EXACT_BETWEENNESS_LIMIT
+
+
+def _measure_scores(g: Graph, measure: str, spec: ExperimentSpec) -> CentralityVector:
+    """Scores of ``measure`` on ``g``, a whole graph or a sample subgraph.
+
+    Betweenness on more than ``EXACT_BETWEENNESS_LIMIT`` nodes is the
+    estimate from ``spec.betweenness_pivots`` pivots drawn with
+    ``spec.base_seed``.
+    """
+    if _pivoted(g, measure):
+        sources = pivot_sources(g.n, spec.betweenness_pivots, spec.base_seed)
+        return betweenness(g, sources=sources)
+    return MEASURES[measure](g)
+
+
 def full_centrality(
     g: Graph, measure: str, spec: ExperimentSpec, cache_root=None
 ) -> CentralityVector:
     """Whole-graph scores, computed once per (graph, measure) and cached."""
     if measure not in MEASURES:
         raise ValidationError(f"unknown measure {measure!r}")
-    params: dict = {}
-    if measure == "betweenness" and g.n > EXACT_BETWEENNESS_LIMIT:
-        params["pivots"] = spec.betweenness_pivots
+    params = {"pivots": spec.betweenness_pivots} if _pivoted(g, measure) else {}
     key = None
     if cache_root is not None:
         tag = hashlib.sha256(
@@ -261,16 +275,13 @@ def full_centrality(
         key = cache_dir(cache_root) / f"{measure}-{tag[:24]}.npy"
         if key.exists():
             return CentralityVector(np.load(key), measure)
-    if measure == "betweenness" and "pivots" in params:
-        vec = betweenness(g, sources=pivot_sources(g.n, params["pivots"], spec.base_seed))
-    else:
-        vec = MEASURES[measure](g)
+    vec = _measure_scores(g, measure, spec)
     if key is not None:
         np.save(key, vec.scores)
     return vec
 
 
-# -- runners ----------------------------------------------------------
+# -- experiment loop ----------------------------------------------------------
 
 
 @dataclass
@@ -374,104 +385,46 @@ def _sample_size(fraction: float, n: int) -> int:
     return max(1, min(n, round(fraction * n)))
 
 
-def run_centrality_comparison(spec: ExperimentSpec) -> RunResult:
-    """In-sample vs whole-graph rank correlation per (sampler, fraction, rep).
-
-    For each cell the sampler runs, the sample induces a subgraph, every
-    measure is computed on both the subgraph and the full graph, and the
-    Kendall tau-b over sampled nodes is recorded. Partial samples become
-    missing cells, not failures.
-    """
-    g, partition = load_input(spec)
-    result = RunResult(resolved_config=spec.resolved())
+def _centrality_study(spec: ExperimentSpec, g: Graph, partition):
+    """In-sample vs whole-graph Kendall tau-b over the sampled nodes, per measure."""
     full = {m: full_centrality(g, m, spec, cache_root=spec.output_dir) for m in spec.measures}
-    for si, entry in enumerate(spec.samplers):
-        for fi, fraction in enumerate(spec.fractions):
-            m = _sample_size(fraction, g.n)
-            for rep in range(spec.repetitions):
-                s_seed, n_seed = _rep_seeds(spec, (si, fi), rep)
-                node_rng = np.random.default_rng(n_seed)
-                seed_node = _pick_seed_node(spec, g, partition, node_rng)
-                cfg, extras = _build_config(entry, m, s_seed, seed_node)
-                try:
-                    sample = run_sampler(entry["name"], g, cfg, extras)
-                except PartialSampleError:
-                    for meas in spec.measures:
-                        result.add(
-                            spec.dataset, entry["name"], fraction, meas, rep, s_seed, None
-                        )
-                    continue
-                sub, mapping = induced_subgraph(g, sample.nodes)
-                for meas in spec.measures:
-                    try:
-                        sub_scores = MEASURES[meas](sub)
-                        whole = full[meas].scores[mapping.sub_to_full]
-                        tau = kendall_tau(sub_scores.scores, whole)
-                    except (UndefinedCorrelationError, ValidationError):
-                        tau = None
-                    result.add(
-                        spec.dataset, entry["name"], fraction, meas, rep, s_seed, tau
-                    )
-    return result
+
+    def measure(sample, seed_node, region) -> dict:
+        sub, mapping = induced_subgraph(g, sample.nodes)
+        taus = {}
+        for meas in spec.measures:
+            try:
+                sub_scores = _measure_scores(sub, meas, spec).scores
+                taus[meas] = kendall_tau(sub_scores, full[meas].scores[mapping.sub_to_full])
+            except (UndefinedCorrelationError, ValidationError):
+                taus[meas] = None
+        return taus
+
+    return (None,), lambda region: spec.measures, measure
 
 
-def run_community_experiment(spec: ExperimentSpec) -> RunResult:
-    """Community representation in samples of a labeled (usually SBM) graph.
-
-    Records KL(p_G || p_Gm) between the whole-graph and in-sample block
-    distributions and the fraction of the sample inside the seed node's
-    block. Seed policy "smallest_block" starts every sampler in the smallest
-    community.
-    """
-    g, partition = load_input(spec)
+def _community_study(spec: ExperimentSpec, g: Graph, partition):
+    """KL(p_G || p_Gm) of the block distributions and the sample's share in
+    the seed node's block."""
     if partition is None:
         raise ValidationError("community experiment needs a labeled input")
     full_hist = label_histogram(range(g.n), partition)
-    result = RunResult(resolved_config=spec.resolved())
-    for si, entry in enumerate(spec.samplers):
-        for fi, fraction in enumerate(spec.fractions):
-            m = _sample_size(fraction, g.n)
-            for rep in range(spec.repetitions):
-                s_seed, n_seed = _rep_seeds(spec, (si, fi), rep)
-                node_rng = np.random.default_rng(n_seed)
-                seed_node = _pick_seed_node(spec, g, partition, node_rng)
-                seed_block = partition.label_of(seed_node)
-                cfg, extras = _build_config(entry, m, s_seed, seed_node)
-                try:
-                    sample = run_sampler(entry["name"], g, cfg, extras)
-                except PartialSampleError:
-                    for meas in ("kl", "seed_block_fraction"):
-                        result.add(
-                            spec.dataset, entry["name"], fraction, meas, rep, s_seed, None
-                        )
-                    continue
-                hist = label_histogram(sample.nodes, partition)
-                kl = kl_divergence(full_hist, hist)
-                in_seed = sum(
-                    1 for v in sample.nodes if partition.label_of(v) == seed_block
-                ) / len(sample.nodes)
-                result.add(spec.dataset, entry["name"], fraction, "kl", rep, s_seed, kl)
-                result.add(
-                    spec.dataset,
-                    entry["name"],
-                    fraction,
-                    "seed_block_fraction",
-                    rep,
-                    s_seed,
-                    in_seed,
-                )
-    return result
+
+    def measure(sample, seed_node, region) -> dict:
+        seed_block = partition.label_of(seed_node)
+        in_seed = sum(1 for v in sample.nodes if partition.label_of(v) == seed_block)
+        return {
+            "kl": kl_divergence(full_hist, label_histogram(sample.nodes, partition)),
+            "seed_block_fraction": in_seed / len(sample.nodes),
+        }
+
+    return (None,), lambda region: ("kl", "seed_block_fraction"), measure
 
 
-def run_attribute_experiment(spec: ExperimentSpec) -> RunResult:
-    """Node-attribute preservation per (seed region, sampler, repetition).
-
-    Samplers start from a node of each configured seed region; the in-sample
-    attribute histogram yields KL(p_G || p_Gm) and the entropy ratio of the
-    seed region. Region names are folded into the measure column
-    (``kl:REGION``, ``entropy_ratio:REGION``) so the report schema stays flat.
-    """
-    g, partition = load_input(spec)
+def _attribute_study(spec: ExperimentSpec, g: Graph, partition):
+    """KL(p_G || p_Gm) of the attribute distribution and the entropy ratio of
+    the seed region, with the region folded into the measure name
+    (``kl:REGION``, ``entropy_ratio:REGION``) so the report schema stays flat."""
     if partition is None:
         raise ValidationError("attribute experiment needs labeled input")
     if not spec.seed_regions:
@@ -482,53 +435,59 @@ def run_attribute_experiment(spec: ExperimentSpec) -> RunResult:
             raise ValidationError(f"seed region {region!r} absent from labels")
     full_hist = label_histogram(range(g.n), partition)
     full_labels = partition.labels_for(range(g.n))
-    result = RunResult(resolved_config=spec.resolved())
-    for ri, region in enumerate(spec.seed_regions):
-        for si, entry in enumerate(spec.samplers):
-            for fi, fraction in enumerate(spec.fractions):
-                m = _sample_size(fraction, g.n)
-                for rep in range(spec.repetitions):
-                    s_seed, n_seed = _rep_seeds(spec, (ri, si, fi), rep)
-                    node_rng = np.random.default_rng(n_seed)
-                    seed_node = _pick_seed_node(spec, g, partition, node_rng, region=region)
-                    cfg, extras = _build_config(entry, m, s_seed, seed_node)
-                    try:
-                        sample = run_sampler(entry["name"], g, cfg, extras)
-                    except PartialSampleError:
-                        for meas in (f"kl:{region}", f"entropy_ratio:{region}"):
-                            result.add(
-                                spec.dataset, entry["name"], fraction, meas, rep, s_seed, None
-                            )
-                        continue
-                    hist = label_histogram(sample.nodes, partition)
-                    kl = kl_divergence(full_hist, hist)
-                    ratio = entropy_ratio(
-                        partition.labels_for(sample.nodes), full_labels, region
-                    )
-                    result.add(
-                        spec.dataset, entry["name"], fraction, f"kl:{region}", rep, s_seed, kl
-                    )
-                    result.add(
-                        spec.dataset,
-                        entry["name"],
-                        fraction,
-                        f"entropy_ratio:{region}",
-                        rep,
-                        s_seed,
-                        ratio,
-                    )
-    return result
+
+    def names(region) -> tuple:
+        return f"kl:{region}", f"entropy_ratio:{region}"
+
+    def measure(sample, seed_node, region) -> dict:
+        kl = kl_divergence(full_hist, label_histogram(sample.nodes, partition))
+        ratio = entropy_ratio(partition.labels_for(sample.nodes), full_labels, region)
+        return dict(zip(names(region), (kl, ratio)))
+
+    return spec.seed_regions, names, measure
 
 
-RUNNERS = {
-    "centrality_comparison": run_centrality_comparison,
-    "community": run_community_experiment,
-    "attribute": run_attribute_experiment,
+STUDIES = {
+    "centrality_comparison": _centrality_study,
+    "community": _community_study,
+    "attribute": _attribute_study,
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> RunResult:
-    return RUNNERS[spec.kind](spec)
+    """Run every (seed region, sampler, fraction, repetition) cell of a spec.
+
+    The study of ``spec.kind`` builds its whole-graph state once and gives
+    the seed regions (attribute runs start every sampler in each region in
+    turn; the other kinds have the single region ``None``), the measure
+    names of a region, and ``measure(sample, seed_node, region)``, which
+    maps each name to a value. A partial sample becomes a row with an empty
+    value for each name, not a failure. An attribute run puts the region
+    index at the front of every cell's seed entropy.
+    """
+    g, partition = load_input(spec)
+    regions, names, measure = STUDIES[spec.kind](spec, g, partition)
+    result = RunResult(resolved_config=spec.resolved())
+    cells = itertools.product(
+        enumerate(regions), enumerate(spec.samplers), enumerate(spec.fractions)
+    )
+    for (ri, region), (si, entry), (fi, fraction) in cells:
+        m = _sample_size(fraction, g.n)
+        prefix = () if region is None else (ri,)
+        for rep in range(spec.repetitions):
+            s_seed, n_seed = _rep_seeds(spec, prefix + (si, fi), rep)
+            node_rng = np.random.default_rng(n_seed)
+            seed_node = _pick_seed_node(spec, g, partition, node_rng, region)
+            cfg = _build_config(entry, m, s_seed, seed_node)
+            try:
+                sample = SAMPLERS[entry["name"]](g, cfg)
+            except PartialSampleError:
+                values = dict.fromkeys(names(region))
+            else:
+                values = measure(sample, seed_node, region)
+            for meas, value in values.items():
+                result.add(spec.dataset, entry["name"], fraction, meas, rep, s_seed, value)
+    return result
 
 
 # -- report merging ---------------------------------------------------

@@ -82,7 +82,7 @@ class Graph:
         self._out_indptr, self._out_dst, self._out_w, _ = _build_csr(n, src, dst, w)
         self._in_indptr, self._in_src, self._in_w, _ = _build_csr(n, dst, src, w)
         self.out_strength = np.zeros(n, dtype=np.float64)
-        np.add.at(self.out_strength, self.edge_src(), self._edge_w_by_src())
+        np.add.at(self.out_strength, self.edge_src(), self._out_w)
         self.in_strength = np.zeros(n, dtype=np.float64)
         cnt = np.diff(self._in_indptr)
         np.add.at(self.in_strength, np.repeat(np.arange(n), cnt), self._in_w)
@@ -151,9 +151,6 @@ class Graph:
     def edge_src(self) -> np.ndarray:
         cnt = np.diff(self._out_indptr)
         return np.repeat(np.arange(self.n), cnt)
-
-    def _edge_w_by_src(self):
-        return self._out_w
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All stored edges as ``(src, dst, w)`` (both directions if undirected)."""

@@ -30,7 +30,8 @@ class SamplerConfig:
     """Knobs shared by all samplers; criterion samplers read most of them.
 
     ``alpha=None`` resolves at run time to 0 for undirected graphs and 0.5
-    for directed ones.
+    for directed ones. ``node2vec_p`` and ``node2vec_q`` are the return and
+    in-out parameters of the node2vec walk.
     """
 
     target_size: int
@@ -42,12 +43,19 @@ class SamplerConfig:
     seed_nodes: tuple[int, ...] = ()
     rng_seed: int = 0
     rescore_on_pop: bool = False
+    node2vec_p: float = 2.0
+    node2vec_q: float = 0.5
 
     def __post_init__(self):
-        self.seed_nodes = tuple(int(s) for s in self.seed_nodes)
+        seeds = self.seed_nodes
+        if not isinstance(seeds, (tuple, list, np.ndarray)) or not all(map(is_integer, seeds)):
+            raise ValidationError(f"seed_nodes must be a sequence of integers, got {seeds!r}")
+        self.seed_nodes = tuple(int(s) for s in seeds)
 
     INT_FIELDS = ("target_size", "leaderboard_capacity", "rng_seed")
-    REAL_FIELDS = ("rw_init_fraction", "alpha", "exploration_p", "damping")
+    REAL_FIELDS = (
+        "rw_init_fraction", "alpha", "exploration_p", "damping", "node2vec_p", "node2vec_q"
+    )
 
     def validate(self, n: int) -> None:
         for name in self.INT_FIELDS:
@@ -71,6 +79,8 @@ class SamplerConfig:
             raise ValidationError("exploration_p must lie in [0, 1]")
         if not 0.0 <= self.damping < 1.0:
             raise ValidationError("damping must lie in [0, 1)")
+        if not (self.node2vec_p > 0 and self.node2vec_q > 0):
+            raise ValidationError("node2vec_p and node2vec_q must be positive")
 
     def resolved_alpha(self, directed: bool) -> float:
         if self.alpha is not None:

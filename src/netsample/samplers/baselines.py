@@ -6,7 +6,6 @@ import heapq
 
 import numpy as np
 
-from ..errors import ValidationError
 from .base import (
     RESTART_PROB,
     STEP_BUDGET_FACTOR,
@@ -15,6 +14,7 @@ from .base import (
     neighborhood,
     partial_error,
     pick_seed,
+    walk_until_new,
 )
 
 
@@ -36,7 +36,7 @@ def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
     """Uniform random walk collecting newly visited nodes.
 
     On a sink, or with probability 0.15 per step, the walker restarts at a
-    uniformly chosen already-sampled node.
+    uniformly chosen already-sampled node (see ``walk_until_new``).
     """
     n = g.node_count()
     cfg.validate(n)
@@ -48,24 +48,18 @@ def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
     visited[seed] = True
     budget = STEP_BUDGET_FACTOR * m
     steps = 0
-    current = seed
     while len(nodes) < m:
-        if steps >= budget:
+        current, used = walk_until_new(g, rng, nodes[-1], nodes, visited, budget - steps)
+        steps += used
+        if current is None:
             raise partial_error(
                 f"random walk found {len(nodes)}/{m} nodes within {budget} steps",
                 nodes,
                 ["rw"] * len(nodes),
                 {"steps": steps},
             )
-        steps += 1
-        out_idx, _ = g.out_neighbors(current)
-        if out_idx.size == 0 or rng.random() < RESTART_PROB:
-            current = nodes[int(rng.integers(len(nodes)))]
-            continue
-        current = int(out_idx[int(rng.integers(out_idx.size))])
-        if not visited[current]:
-            visited[current] = True
-            nodes.append(current)
+        visited[current] = True
+        nodes.append(current)
     return SampleResult(
         nodes=nodes,
         tags=["rw"] * len(nodes),
@@ -171,16 +165,18 @@ def node2vec_step_weights(g, prev: int | None, current: int, p: float, q: float,
     return out_idx, out_w * bias
 
 
-def sample_node2vec_walk(g, cfg: SamplerConfig, p: float = 2.0, q: float = 0.5) -> SampleResult:
+def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
     """Second-order (node2vec-style) walk collecting newly visited nodes.
 
-    Dead-end and restart handling are identical to the uniform random walk;
-    a restart forgets the previous node, so the next step is first-order.
+    The bias comes from ``cfg.node2vec_p`` and ``cfg.node2vec_q``. Dead-end
+    and restart handling are identical to the uniform random walk; a restart
+    forgets the previous node, so the next step is first-order. The walk
+    keeps its own loop rather than ``walk_until_new``, because each step
+    depends on the previous node as well as the current one.
     """
-    if p <= 0 or q <= 0:
-        raise ValidationError("node2vec parameters p, q must be positive")
     n = g.node_count()
     cfg.validate(n)
+    p, q = cfg.node2vec_p, cfg.node2vec_q
     rng = np.random.default_rng(cfg.rng_seed)
     seed = pick_seed(cfg, g, rng)
     m = cfg.target_size
@@ -232,5 +228,5 @@ def sample_node2vec_walk(g, cfg: SamplerConfig, p: float = 2.0, q: float = 0.5) 
         nodes=nodes,
         tags=["node2vec"] * len(nodes),
         counters={"steps": steps},
-        config=cfg.echo(sampler="node2vec", node2vec_p=p, node2vec_q=q),
+        config=cfg.echo(sampler="node2vec"),
     )

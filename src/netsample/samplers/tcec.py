@@ -70,7 +70,7 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
     )
 
 
-def _refresh_leaderboard(g, state, score_fn):
+def _refresh_leaderboard(state, score_fn):
     """Rescore every stale entry so the next pop is an exact argmax."""
     epoch = state.k
     for node in state.leaderboard.stale_nodes(epoch):
@@ -143,7 +143,7 @@ def run_criterion_crawl(
     # phase 2: criterion-driven growth
     while state.k < m:
         if cfg.rescore_on_pop:
-            _refresh_leaderboard(g, state, score_fn)
+            _refresh_leaderboard(state, score_fn)
         node = state.leaderboard.pop_best()
         if node is not None:
             admit(node, "criterion")

@@ -11,6 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from netsample.errors import PartialSampleError, ValidationError
 from netsample.graph import Graph
@@ -18,6 +19,16 @@ from netsample.graph import Graph
 # property tests draw the same examples on every run
 settings.register_profile("netsample", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("netsample")
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    """Random graphs with sinks, isolated nodes, self-loops and repeated edges."""
+    n = draw(st.integers(1, max_n))
+    directed = draw(st.booleans())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))  # self-loops allowed
+    return Graph.from_edges(n, edges, directed=directed)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:

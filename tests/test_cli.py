@@ -189,6 +189,21 @@ def test_experiment_run_bad_sampler_key_exits_with_message(tmp_path):
     assert isinstance(r.exception, SystemExit)
 
 
+def test_experiment_run_badly_typed_spec_field_exits_with_message(tmp_path):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "kind": "community",
+        "input": {"sbm": SBM_YAML},
+        "samplers": [{"name": "rw"}],
+        "repetitions": "3",
+    }))
+    r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
+    assert r.exit_code == 1
+    assert "repetitions must be an integer >= 1, got '3'" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
 def test_experiment_run_badly_typed_config_exits_with_message(tmp_path):
     spec_path = tmp_path / "spec.yaml"
     spec_path.write_text(yaml.safe_dump({

@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 import yaml
 
+from netsample import experiments
+from netsample.centrality import MEASURES, betweenness, pivot_sources
 from netsample.errors import ValidationError
 from netsample.experiments import (
     ExperimentSpec,
@@ -130,6 +133,33 @@ def test_spec_rejects_bad_betweenness_pivots():
     assert small_spec(betweenness_pivots=1).betweenness_pivots == 1
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"repetitions": "3"}, "repetitions must be an integer >= 1, got '3'"),
+        ({"repetitions": 2.0}, "repetitions must be an integer >= 1, got 2.0"),
+        ({"base_seed": "x"}, "base_seed must be an integer >= 0, got 'x'"),
+        ({"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
+        ({"seeds": [1.5, 2]}, "seeds entry must be an integer >= 0, got 1.5"),
+        ({"seeds": [True, 2]}, "seeds entry must be an integer >= 0, got True"),
+        ({"seeds": 7}, "seeds must be a list, got 7"),
+        ({"fractions": ["a"]}, "fractions entry must be a real number in (0, 1], got 'a'"),
+        ({"fractions": [0.1, 1.5]}, "fractions entry must be a real number in (0, 1], got 1.5"),
+        ({"fractions": 0.2}, "fractions must be a list, got 0.2"),
+        (
+            {"measures": ["pagerank", "pagrank"]},
+            "unknown measure 'pagrank'; allowed: betweenness, eigenvector, indegree, "
+            "pagerank, springrank",
+        ),
+        ({"measures": "pagerank"}, "measures must be a list, got 'pagerank'"),
+        ({"seed_regions": "abc"}, "seed_regions must be a list, got 'abc'"),
+    ],
+)
+def test_spec_rejects_badly_typed_fields(over, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        small_spec(**over)
+
+
 def test_spec_yaml_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.yaml"
@@ -237,6 +267,37 @@ def test_full_centrality_cache(tmp_path, monkeypatch):
     assert np.array_equal(v1.scores, v2.scores)
     with pytest.raises(ValidationError):
         full_centrality(g, "mystery", spec)
+
+
+def test_sample_subgraph_betweenness_uses_pivots_above_limit(tmp_path, monkeypatch):
+    monkeypatch.delenv("NETSAMPLE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(experiments, "EXACT_BETWEENNESS_LIMIT", 30)
+    calls = []
+
+    def recording(g, sources=None):
+        calls.append((g.n, sources))
+        return betweenness(g, sources=sources)
+
+    monkeypatch.setattr(experiments, "betweenness", recording)
+    monkeypatch.setitem(MEASURES, "betweenness", recording)
+    spec = small_spec(
+        samplers=[{"name": "rn"}],
+        fractions=(0.2, 0.3),
+        measures=("betweenness",),
+        betweenness_pivots=5,
+        output_dir=str(tmp_path),
+    )
+    result = run_experiment(spec)
+    # whole graph (140 nodes) and 42-node samples are above the limit,
+    # 28-node samples are not
+    assert calls == [
+        (140, pivot_sources(140, 5, 42)),
+        (28, None),
+        (28, None),
+        (42, pivot_sources(42, 5, 42)),
+        (42, pivot_sources(42, 5, 42)),
+    ]
+    assert all(v is not None for v in result.values())
 
 
 def test_merge_results(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsample.errors import (
     DanglingCandidateError,
@@ -8,6 +10,7 @@ from netsample.errors import (
 )
 from netsample.graph import Graph
 from netsample.samplers import (
+    SAMPLERS,
     SampleResult,
     SamplerConfig,
     sample_expansion,
@@ -29,6 +32,7 @@ from conftest import (
     dense_tcpr_score,
     random_digraph,
     random_undirected,
+    small_graphs,
 )
 
 
@@ -59,6 +63,11 @@ def test_config_validation():
         ("exploration_p", "0.1", "exploration_p must be a real number"),
         ("alpha", False, "alpha must be a real number"),
         ("rescore_on_pop", 1, "rescore_on_pop must be true or false"),
+        ("node2vec_p", "2", "node2vec_p must be a real number, got '2'"),
+        ("node2vec_q", True, "node2vec_q must be a real number"),
+        ("node2vec_p", 0.0, "node2vec_p and node2vec_q must be positive"),
+        ("node2vec_q", -1, "node2vec_p and node2vec_q must be positive"),
+        ("node2vec_q", float("nan"), "node2vec_p and node2vec_q must be positive"),
     ],
 )
 def test_config_validation_checks_types(field, value, message):
@@ -74,6 +83,17 @@ def test_config_validation_accepts_numpy_and_integer_reals():
         rescore_on_pop=np.True_,
     )
     cfg.validate(10)
+
+
+@pytest.mark.parametrize("seeds", [(1.7,), (True,), ("x",), (np.float64(2),), 3])
+def test_config_rejects_non_integer_seed_nodes(seeds):
+    with pytest.raises(ValidationError, match="seed_nodes must be a sequence of integers"):
+        SamplerConfig(target_size=5, seed_nodes=seeds)
+
+
+def test_config_keeps_integer_seed_nodes():
+    cfg = SamplerConfig(target_size=5, seed_nodes=[np.int64(3), 4])
+    assert cfg.seed_nodes == (3, 4) and all(type(s) is int for s in cfg.seed_nodes)
 
 
 def test_alpha_resolution():
@@ -176,11 +196,56 @@ def test_node2vec_step_weights_biases():
 
 def test_node2vec_walk_runs(rng):
     g = random_undirected(60, 0.1, rng)
-    r = sample_node2vec_walk(g, SamplerConfig(target_size=25, rng_seed=2), p=2.0, q=0.5)
+    r = sample_node2vec_walk(
+        g, SamplerConfig(target_size=25, rng_seed=2, node2vec_p=2.0, node2vec_q=0.5)
+    )
     assert len(set(r.nodes)) == 25
     assert r.config["node2vec_p"] == 2.0
     with pytest.raises(ValidationError):
-        sample_node2vec_walk(g, SamplerConfig(target_size=5), p=0.0, q=1.0)
+        sample_node2vec_walk(g, SamplerConfig(target_size=5, node2vec_p=0.0, node2vec_q=1.0))
+
+
+TAGS = {
+    "rn": {"rn"},
+    "rw": {"rw"},
+    "xs": {"xs"},
+    "node2vec": {"node2vec"},
+    "tcec": {"rw-init", "criterion", "fallback"},
+    "tcpr": {"rw-init", "criterion", "fallback"},
+}
+
+
+@settings(max_examples=400)
+@given(g=small_graphs(max_n=14), data=st.data())
+def test_every_sampler_through_one_signature(g, data):
+    name = data.draw(st.sampled_from(sorted(SAMPLERS)))
+    m = data.draw(st.integers(1, g.n))
+    cfg = SamplerConfig(
+        target_size=m,
+        rng_seed=data.draw(st.integers(0, 1000)),
+        seed_nodes=data.draw(st.sampled_from([(), (0,), (g.n - 1,)])),
+        leaderboard_capacity=data.draw(st.integers(1, 4)),
+        exploration_p=data.draw(st.sampled_from([0.1, 1.0])),
+        rescore_on_pop=data.draw(st.booleans()),
+        node2vec_p=data.draw(st.sampled_from([0.5, 2.0])),
+        node2vec_q=data.draw(st.sampled_from([0.5, 2.0])),
+    )
+
+    def run():
+        try:
+            r = SAMPLERS[name](g, cfg)
+        except PartialSampleError as exc:
+            assert len(exc.nodes) < m
+            return str(exc), exc.nodes, exc.tags, exc.counters
+        assert len(r.nodes) == m
+        return None, r.nodes, r.tags, r.counters
+
+    first = run()
+    _, nodes, tags, _ = first
+    assert len(set(nodes)) == len(nodes) == len(tags)
+    assert set(tags) <= TAGS[name]
+    assert all(0 <= v < g.n for v in nodes)
+    assert run() == first
 
 
 def test_all_samplers_deterministic(rng):

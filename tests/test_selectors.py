@@ -16,7 +16,7 @@ from netsample.samplers import SamplerConfig, sample_expansion
 from netsample.samplers.base import Leaderboard
 from netsample.synth import SbmSpec, generate_sbm
 
-from conftest import ReferenceLeaderboard, brute_expansion
+from conftest import ReferenceLeaderboard, brute_expansion, small_graphs
 
 NODE = st.integers(0, 15)
 SCORE = st.integers(0, 4)
@@ -63,15 +63,6 @@ def test_leaderboard_heaps_stay_bounded_under_rescoring():
     limit = Leaderboard.COMPACT_FACTOR * lb.capacity
     assert len(lb._best) <= limit and len(lb._worst) <= limit
     assert lb.pop_best() == 4
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 12))
-    directed = draw(st.booleans())
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges = draw(st.lists(pairs, max_size=3 * n))  # self-loops allowed
-    return Graph.from_edges(n, edges, directed=directed)
 
 
 @given(g=small_graphs(), data=st.data())
