@@ -3,7 +3,6 @@ measures, and distribution metrics, with a CLI experiment runner."""
 
 from .graph import (
     Graph,
-    GraphAccess,
     LabeledPartition,
     NodeMapping,
     induced_subgraph,

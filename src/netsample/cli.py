@@ -63,7 +63,9 @@ def cli():
 @click.option("--sampler", type=click.Choice(sorted(SAMPLERS)), required=True)
 @click.option("--size", type=int, help="Absolute sample size.")
 @click.option("--fraction", type=float, help="Sample size as a fraction of n.")
-@click.option("--seed-node", type=int, multiple=True, help="Starting node(s).")
+@click.option(
+    "--seed-node", type=int, multiple=True, help="Starting node (at most one); random if omitted."
+)
 @click.option("--rng-seed", type=int, default=0, show_default=True)
 @click.option("--alpha", type=float, default=None, help="In-degree mixing weight.")
 @click.option("--exploration-p", type=float, default=0.1, show_default=True)

@@ -263,7 +263,11 @@ def _measure_scores(g: Graph, measure: str, spec: ExperimentSpec) -> CentralityV
 def full_centrality(
     g: Graph, measure: str, spec: ExperimentSpec, cache_root=None
 ) -> CentralityVector:
-    """Whole-graph scores, computed once per (graph, measure) and cached."""
+    """Whole-graph scores, computed once per (graph, measure) and cached.
+
+    The scores go to ``<measure>-<tag>.npy`` and the convergence metadata to
+    a ``.json`` sidecar of the same name; a missing sidecar is a cache miss.
+    """
     if measure not in MEASURES:
         raise ValidationError(f"unknown measure {measure!r}")
     params = {"pivots": spec.betweenness_pivots} if _pivoted(g, measure) else {}
@@ -273,11 +277,18 @@ def full_centrality(
             (_graph_digest(g) + measure + json.dumps(params, sort_keys=True)).encode()
         ).hexdigest()
         key = cache_dir(cache_root) / f"{measure}-{tag[:24]}.npy"
-        if key.exists():
-            return CentralityVector(np.load(key), measure)
+        if key.exists() and key.with_suffix(".json").exists():
+            meta = json.loads(key.with_suffix(".json").read_text(encoding="utf-8"))
+            return CentralityVector(np.load(key), measure, **meta)
     vec = _measure_scores(g, measure, spec)
     if key is not None:
         np.save(key, vec.scores)
+        meta = {
+            "iterations": int(vec.iterations),
+            "residual": float(vec.residual),
+            "converged": bool(vec.converged),
+        }
+        key.with_suffix(".json").write_text(json.dumps(meta), encoding="utf-8")
     return vec
 
 

@@ -10,32 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Protocol
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 
 UNKNOWN_LABEL = "unknown"
-
-
-class GraphAccess(Protocol):
-    """Neighbor-query surface all samplers operate against.
-
-    Answers must stay consistent with one fixed underlying graph for the
-    lifetime of a crawl; `Graph` below satisfies it in-memory, and a remote
-    backend can satisfy it later without touching the samplers.
-    """
-
-    def out_neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def in_neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def out_degree(self, i: int) -> float: ...
-
-    def in_degree(self, i: int) -> float: ...
-
-    def node_count(self) -> int: ...
 
 
 def _build_csr(n, src, dst, w):
@@ -127,7 +108,7 @@ class Graph:
             return cls(n, src2, dst2, w2, directed=False)
         return cls(n, src, dst, w, directed=True)
 
-    # -- GraphAccess --------------------------------------------------
+    # -- neighbor queries ---------------------------------------------
 
     def out_neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._out_indptr[i], self._out_indptr[i + 1]
@@ -136,15 +117,6 @@ class Graph:
     def in_neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._in_indptr[i], self._in_indptr[i + 1]
         return self._in_src[lo:hi], self._in_w[lo:hi]
-
-    def out_degree(self, i: int) -> float:
-        return float(self.out_strength[i])
-
-    def in_degree(self, i: int) -> float:
-        return float(self.in_strength[i])
-
-    def node_count(self) -> int:
-        return self.n
 
     # -- bulk views ---------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
@@ -30,8 +31,9 @@ class SamplerConfig:
     """Knobs shared by all samplers; criterion samplers read most of them.
 
     ``alpha=None`` resolves at run time to 0 for undirected graphs and 0.5
-    for directed ones. ``node2vec_p`` and ``node2vec_q`` are the return and
-    in-out parameters of the node2vec walk.
+    for directed ones. ``seed_nodes`` holds at most one starting node; empty
+    means a random start. ``node2vec_p`` and ``node2vec_q`` are the return
+    and in-out parameters of the node2vec walk.
     """
 
     target_size: int
@@ -69,6 +71,10 @@ class SamplerConfig:
             raise ValidationError(f"rescore_on_pop must be true or false, got {self.rescore_on_pop!r}")
         if not 1 <= self.target_size <= n:
             raise ValidationError(f"target size {self.target_size} not in 1..{n}")
+        if len(self.seed_nodes) > 1:
+            raise ValidationError(f"at most one seed node allowed, got {list(self.seed_nodes)}")
+        if self.seed_nodes and not 0 <= self.seed_nodes[0] < n:
+            raise ValidationError(f"seed node {self.seed_nodes[0]} not in 0..{n - 1}")
         if self.leaderboard_capacity < 1:
             raise ValidationError("leaderboard capacity must be >= 1")
         if not 0.0 < self.rw_init_fraction <= 1.0:
@@ -239,7 +245,6 @@ class Leaderboard:
 class SampleState:
     """Evolving crawl state shared by the criterion samplers."""
 
-    n: int
     members: list[int] = field(default_factory=list)
     member_mask: np.ndarray = None
     in_sample_indegree: np.ndarray = None
@@ -250,7 +255,6 @@ class SampleState:
     @classmethod
     def empty(cls, n: int, capacity: int, with_delta: bool = False) -> "SampleState":
         return cls(
-            n=n,
             member_mask=np.zeros(n, dtype=bool),
             in_sample_indegree=np.zeros(n, dtype=np.float64),
             leaderboard=Leaderboard(capacity),
@@ -266,11 +270,10 @@ def neighborhood(g, node: int) -> np.ndarray:
     """Distinct in- and out-neighbors of ``node``, excluding ``node`` itself.
 
     An undirected graph's in-list equals its out-list, which is sorted and
-    distinct already, so only a directed graph (or an access object that
-    does not say) needs the merge.
+    distinct already, so only a directed graph needs the merge.
     """
     out_idx, _ = g.out_neighbors(node)
-    if getattr(g, "directed", True):
+    if g.directed:
         out_idx = np.union1d(out_idx, g.in_neighbors(node)[0])
     return out_idx[out_idx != node]
 
@@ -296,13 +299,99 @@ def walk_until_new(g, rng, current, sampled, member_mask, budget):
 
 
 def pick_seed(cfg: SamplerConfig, g, rng) -> int:
+    """The configured seed node (validated by ``cfg.validate``), else a random one."""
     if cfg.seed_nodes:
-        seed = cfg.seed_nodes[0]
-        if not 0 <= seed < g.node_count():
-            raise ValidationError(f"seed node {seed} out of range")
-        return int(seed)
-    return int(rng.integers(g.node_count()))
+        return cfg.seed_nodes[0]
+    return int(rng.integers(g.n))
 
 
-def partial_error(message, nodes, tags, counters) -> PartialSampleError:
-    return PartialSampleError(message, nodes=nodes, tags=tags, counters=counters)
+def _refresh_leaderboard(state, score_fn):
+    """Rescore every stale entry so the next pop is an exact argmax."""
+    epoch = state.k
+    for node in state.leaderboard.stale_nodes(epoch):
+        state.leaderboard.set_score(node, score_fn(node), epoch)
+
+
+def run_criterion_crawl(
+    g,
+    cfg: SamplerConfig,
+    state: SampleState,
+    sampler_name: str,
+    score_fn,
+    offer_candidates,
+    on_admit=None,
+    step_callback=None,
+) -> SampleResult:
+    """Shared control flow for the criterion samplers.
+
+    RW-init collects ``ceil(rw_init_fraction * m)`` nodes, then the main loop
+    pops the leaderboard top (falling back to one random-walk step when it is
+    empty) until ``m`` nodes are sampled. ``offer_candidates(node)`` yields
+    the candidates to score when ``node`` enters the sample; ``on_admit`` runs
+    state bookkeeping before candidates are offered.
+    """
+    cfg.validate(g.n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    m = cfg.target_size
+    tags: list[str] = []
+    counters = {"scored_candidates": 0, "fallback_events": 0, "rw_steps": 0}
+    budget = STEP_BUDGET_FACTOR * m
+
+    def admit(node: int, tag: str) -> None:
+        state.members.append(node)
+        state.member_mask[node] = True
+        tags.append(tag)
+        state.leaderboard.discard(node)
+        out_idx, out_w = g.out_neighbors(node)
+        np.add.at(state.in_sample_indegree, out_idx, out_w)
+        if on_admit is not None:
+            on_admit(node)
+        for cand in offer_candidates(node):
+            cand = int(cand)
+            if state.member_mask[cand]:
+                continue
+            if cfg.exploration_p < 1.0 and rng.random() >= cfg.exploration_p:
+                continue
+            counters["scored_candidates"] += 1
+            state.leaderboard.offer(cand, score_fn(cand), epoch=state.k)
+        if step_callback is not None:
+            step_callback(state, node, tag)
+
+    # phase 1: random-walk initialization
+    init_size = min(m, max(1, math.ceil(cfg.rw_init_fraction * m)))
+    current = pick_seed(cfg, g, rng)
+    admit(current, "rw-init")
+    while state.k < init_size:
+        current, used = walk_until_new(g, rng, current, state.members, state.member_mask, budget)
+        counters["rw_steps"] += used
+        if current is None:
+            raise PartialSampleError(
+                f"rw-init exhausted at {state.k}/{m} nodes", state.members, tags, counters
+            )
+        admit(current, "rw-init")
+
+    # phase 2: criterion-driven growth
+    while state.k < m:
+        if cfg.rescore_on_pop:
+            _refresh_leaderboard(state, score_fn)
+        node = state.leaderboard.pop_best()
+        if node is not None:
+            admit(node, "criterion")
+            continue
+        counters["fallback_events"] += 1
+        start = state.members[int(rng.integers(state.k))]
+        nxt, used = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
+        counters["rw_steps"] += used
+        if nxt is None:
+            raise PartialSampleError(
+                f"graph exhausted at {state.k}/{m} nodes", state.members, tags, counters
+            )
+        admit(nxt, "fallback")
+
+    counters["leaderboard_evictions"] = state.leaderboard.evictions
+    return SampleResult(
+        nodes=list(state.members),
+        tags=tags,
+        counters=counters,
+        config=cfg.echo(sampler=sampler_name),
+    )

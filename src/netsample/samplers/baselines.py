@@ -6,13 +6,13 @@ import heapq
 
 import numpy as np
 
+from ..errors import PartialSampleError
 from .base import (
     RESTART_PROB,
     STEP_BUDGET_FACTOR,
     SampleResult,
     SamplerConfig,
     neighborhood,
-    partial_error,
     pick_seed,
     walk_until_new,
 )
@@ -20,7 +20,7 @@ from .base import (
 
 def sample_random_node(g, cfg: SamplerConfig) -> SampleResult:
     """Uniform sampling on nodes, without replacement."""
-    n = g.node_count()
+    n = g.n
     cfg.validate(n)
     rng = np.random.default_rng(cfg.rng_seed)
     nodes = [int(v) for v in rng.permutation(n)[: cfg.target_size]]
@@ -38,7 +38,7 @@ def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
     On a sink, or with probability 0.15 per step, the walker restarts at a
     uniformly chosen already-sampled node (see ``walk_until_new``).
     """
-    n = g.node_count()
+    n = g.n
     cfg.validate(n)
     rng = np.random.default_rng(cfg.rng_seed)
     seed = pick_seed(cfg, g, rng)
@@ -52,7 +52,7 @@ def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
         current, used = walk_until_new(g, rng, nodes[-1], nodes, visited, budget - steps)
         steps += used
         if current is None:
-            raise partial_error(
+            raise PartialSampleError(
                 f"random walk found {len(nodes)}/{m} nodes within {budget} steps",
                 nodes,
                 ["rw"] * len(nodes),
@@ -84,7 +84,7 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     ``border_peak`` is the largest border size and ``gain_evals`` the number
     of gain evaluations.
     """
-    n = g.node_count()
+    n = g.n
     cfg.validate(n)
     rng = np.random.default_rng(cfg.rng_seed)
     seed = pick_seed(cfg, g, rng)
@@ -124,7 +124,7 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     admit(seed)
     while len(nodes) < m:
         if not heap:
-            raise partial_error(
+            raise PartialSampleError(
                 f"expansion border exhausted at {len(nodes)}/{m} nodes",
                 nodes,
                 ["xs"] * len(nodes),
@@ -174,7 +174,7 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
     keeps its own loop rather than ``walk_until_new``, because each step
     depends on the previous node as well as the current one.
     """
-    n = g.node_count()
+    n = g.n
     cfg.validate(n)
     p, q = cfg.node2vec_p, cfg.node2vec_q
     rng = np.random.default_rng(cfg.rng_seed)
@@ -198,7 +198,7 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
     current = seed
     while len(nodes) < m:
         if steps >= budget:
-            raise partial_error(
+            raise PartialSampleError(
                 f"node2vec walk found {len(nodes)}/{m} nodes within {budget} steps",
                 nodes,
                 ["node2vec"] * len(nodes),

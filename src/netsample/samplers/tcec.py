@@ -13,21 +13,10 @@ its in-sample targets, so the cost stays local to the candidate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ValidationError
-from .base import (
-    STEP_BUDGET_FACTOR,
-    SampleResult,
-    SamplerConfig,
-    SampleState,
-    neighborhood,
-    partial_error,
-    pick_seed,
-    walk_until_new,
-)
+from .base import SampleResult, SamplerConfig, SampleState, neighborhood, run_criterion_crawl
 
 
 def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
@@ -70,111 +59,14 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
     )
 
 
-def _refresh_leaderboard(state, score_fn):
-    """Rescore every stale entry so the next pop is an exact argmax."""
-    epoch = state.k
-    for node in state.leaderboard.stale_nodes(epoch):
-        state.leaderboard.set_score(node, score_fn(node), epoch)
-
-
-def run_criterion_crawl(
-    g,
-    cfg: SamplerConfig,
-    score_fn,
-    offer_candidates,
-    on_admit=None,
-    state: SampleState | None = None,
-    sampler_name: str = "tcec",
-    step_callback=None,
-) -> SampleResult:
-    """Shared control flow for the criterion samplers.
-
-    RW-init collects ``ceil(rw_init_fraction * m)`` nodes, then the main loop
-    pops the leaderboard top (falling back to one random-walk step when it is
-    empty) until ``m`` nodes are sampled. ``offer_candidates(node)`` yields
-    the candidates to score when ``node`` enters the sample; ``on_admit`` runs
-    state bookkeeping before candidates are offered.
-    """
-    n = g.node_count()
-    cfg.validate(n)
-    rng = np.random.default_rng(cfg.rng_seed)
-    m = cfg.target_size
-    if state is None:
-        state = SampleState.empty(n, cfg.leaderboard_capacity)
-    tags: list[str] = []
-    counters = {"scored_candidates": 0, "fallback_events": 0, "rw_steps": 0}
-    budget = STEP_BUDGET_FACTOR * m
-
-    def admit(node: int, tag: str) -> None:
-        state.members.append(node)
-        state.member_mask[node] = True
-        tags.append(tag)
-        state.leaderboard.discard(node)
-        out_idx, out_w = g.out_neighbors(node)
-        np.add.at(state.in_sample_indegree, out_idx, out_w)
-        if on_admit is not None:
-            on_admit(node)
-        for cand in offer_candidates(node):
-            cand = int(cand)
-            if state.member_mask[cand]:
-                continue
-            if cfg.exploration_p < 1.0 and rng.random() >= cfg.exploration_p:
-                continue
-            counters["scored_candidates"] += 1
-            state.leaderboard.offer(cand, score_fn(cand), epoch=state.k)
-        if step_callback is not None:
-            step_callback(state, node, tag)
-
-    # phase 1: random-walk initialization
-    init_size = min(m, max(1, math.ceil(cfg.rw_init_fraction * m)))
-    seed = pick_seed(cfg, g, rng)
-    admit(seed, "rw-init")
-    current = seed
-    while state.k < init_size:
-        nxt, used = walk_until_new(g, rng, current, state.members, state.member_mask, budget)
-        counters["rw_steps"] += used
-        if nxt is None:
-            raise partial_error(
-                f"rw-init exhausted at {state.k}/{m} nodes", state.members, tags, counters
-            )
-        admit(nxt, "rw-init")
-        current = nxt
-
-    # phase 2: criterion-driven growth
-    while state.k < m:
-        if cfg.rescore_on_pop:
-            _refresh_leaderboard(state, score_fn)
-        node = state.leaderboard.pop_best()
-        if node is not None:
-            admit(node, "criterion")
-            continue
-        counters["fallback_events"] += 1
-        start = state.members[int(rng.integers(state.k))]
-        nxt, used = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
-        counters["rw_steps"] += used
-        if nxt is None:
-            raise partial_error(
-                f"graph exhausted at {state.k}/{m} nodes", state.members, tags, counters
-            )
-        admit(nxt, "fallback")
-
-    counters["leaderboard_evictions"] = state.leaderboard.evictions
-    return SampleResult(
-        nodes=list(state.members),
-        tags=tags,
-        counters=counters,
-        config=cfg.echo(sampler=sampler_name),
-    )
-
-
 def sample_tcec(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
     """Eigenvector-centrality-targeted sampling.
 
     Candidates come from both edge directions around each admitted node
     (undirected reachability of the crawl frontier).
     """
-    alpha = cfg.resolved_alpha(g.directed if hasattr(g, "directed") else True)
-    state = SampleState.empty(g.node_count(), cfg.leaderboard_capacity)
+    alpha = cfg.resolved_alpha(g.directed)
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity)
 
     def score_fn(j):
         return tcec_score(g, state, j, alpha)
@@ -183,11 +75,5 @@ def sample_tcec(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         return neighborhood(g, node)
 
     return run_criterion_crawl(
-        g,
-        cfg,
-        score_fn,
-        offer_candidates,
-        state=state,
-        sampler_name="tcec",
-        step_callback=step_callback,
+        g, cfg, state, "tcec", score_fn, offer_candidates, step_callback=step_callback
     )

@@ -11,8 +11,10 @@ cross term is made local by keeping, for every member s, the quantity
 
     delta_s = sum over non-members i of P(s -> i)
 
-updated on every admission, where P(s -> i) = A_si / d_out(s) for
-non-dangling s and 1/n for dangling s.
+where P(s -> i) = A_si / d_out(s) for non-dangling s and 1/n for dangling s.
+A non-dangling member's delta is stored and updated on every admission. A
+dangling member's delta is (n - k) / n for a sample of k nodes, so it is
+never stored: ``member_deltas`` computes it when it is read.
 """
 
 from __future__ import annotations
@@ -20,26 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DanglingCandidateError, ValidationError
-from .base import SampleResult, SamplerConfig, SampleState
-from .tcec import run_criterion_crawl
-
-
-def _prob_to(g, s: int, j: int, dangling: np.ndarray, dout: np.ndarray) -> float:
-    """P(s -> j) under the PageRank transition matrix."""
-    if dangling[s]:
-        return 1.0 / g.node_count()
-    out_idx, out_w = g.out_neighbors(s)
-    hit = out_idx == j
-    if not hit.any():
-        return 0.0
-    return float(out_w[hit][0]) / float(dout[s])
+from .base import SampleResult, SamplerConfig, SampleState, run_criterion_crawl
 
 
 def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.ndarray) -> None:
-    """Set delta for a freshly admitted member (mask already includes it)."""
-    n = g.node_count()
+    """Set delta for a freshly admitted member (mask already includes it).
+
+    A dangling member is only recorded; ``member_deltas`` gives its delta.
+    """
     if dangling[s]:
-        state.delta[s] = (n - state.member_mask.sum()) / n
         state.dangling_members.append(s)
         return
     out_idx, out_w = g.out_neighbors(s)
@@ -48,21 +39,25 @@ def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.nda
 
 
 def update_deltas_on_admit(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.ndarray) -> None:
-    """Remove the admitted node's term from every other member's delta."""
-    n = g.node_count()
+    """Remove the admitted node's term from every non-dangling member's delta.
+
+    ``dangling`` is not read: no dangling member's delta is stored.
+    """
     in_idx, in_w = g.in_neighbors(s)
     mem = state.member_mask[in_idx] & (in_idx != s)
     xs = in_idx[mem]
     if xs.size:
         state.delta[xs] -= in_w[mem] / dout[xs]
-    for x in state.dangling_members:
-        if x != s:
-            state.delta[x] -= 1.0 / n
+
+
+def member_deltas(g, state: SampleState, nodes) -> np.ndarray:
+    """Deltas of the members ``nodes``; a dangling member's is (n - k) / n."""
+    return np.where(g.out_strength[nodes] <= 0, (g.n - state.k) / g.n, state.delta[nodes])
 
 
 def tcpr_score(g, state: SampleState, j: int, gamma: float) -> float:
     """Criterion score of non-dangling candidate ``j`` (constants dropped)."""
-    n = g.node_count()
+    n = g.n
     dout = g.out_strength
     mask = state.member_mask
     if mask[j]:
@@ -95,7 +90,7 @@ def tcpr_score(g, state: SampleState, j: int, gamma: float) -> float:
                 for s in s_nodes
             ]
         )
-        delta_excl = state.delta[s_nodes] - corr
+        delta_excl = member_deltas(g, state, s_nodes) - corr
         b1u = gamma * float(np.sum(u * (gamma * delta_excl + const)))
     b1u -= gamma * (1.0 - gamma) / n * sum_prob_sj
     return b1 + b1u - b3
@@ -109,8 +104,7 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
     artificial complete-graph edges are never crawled), dangling candidates
     are skipped, and delta bookkeeping runs on every admission.
     """
-    n = g.node_count()
-    state = SampleState.empty(n, cfg.leaderboard_capacity, with_delta=True)
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity, with_delta=True)
     dout = g.out_strength
     dangling = dout <= 0
     gamma = cfg.damping
@@ -132,14 +126,7 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         return cands[ok]
 
     result = run_criterion_crawl(
-        g,
-        cfg,
-        score_fn,
-        offer_candidates,
-        on_admit=on_admit,
-        state=state,
-        sampler_name="tcpr",
-        step_callback=step_callback,
+        g, cfg, state, "tcpr", score_fn, offer_candidates, on_admit, step_callback
     )
     result.counters.update(counters_extra)
     return result
@@ -147,7 +134,7 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
 
 def recompute_delta(g, member_mask: np.ndarray, x: int) -> float:
     """From-scratch delta of member ``x``: its transition mass to non-members."""
-    n = g.node_count()
+    n = g.n
     if g.out_strength[x] <= 0:
         return float(n - member_mask.sum()) / n
     out_idx, out_w = g.out_neighbors(x)

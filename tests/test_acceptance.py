@@ -18,7 +18,7 @@ from netsample.graph import Graph
 from netsample.metrics import kendall_tau
 from netsample.samplers import SamplerConfig, sample_tcec, sample_tcpr, tcec_score, tcpr_score
 from netsample.samplers.base import SampleState
-from netsample.samplers.tcpr import recompute_delta
+from netsample.samplers.tcpr import member_deltas, recompute_delta
 from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
@@ -173,7 +173,7 @@ def test_04_tcpr_delta_bookkeeping():
 
     def check(state, node, tag):
         for x in state.members:
-            err = abs(state.delta[x] - recompute_delta(g, state.member_mask, x))
+            err = abs(member_deltas(g, state, [x])[0] - recompute_delta(g, state.member_mask, x))
             worst[0] = max(worst[0], err)
 
     sample_tcpr(

@@ -1,0 +1,64 @@
+"""The names the benchmark in ``perfbench/`` wraps must exist and be called.
+
+``perfbench/layers.py`` wraps netsample functions and methods by identity at
+every name a module holds them under, and its ``crawl`` workload reads
+``len(state.dangling_members)`` from a ``tcpr`` step callback. This test
+installs those wrappers, runs a tiny ``tcpr`` crawl through them and checks
+that every original comes back on restore. ``perfbench/`` is only read.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import netsample
+from netsample.graph import Graph
+from netsample.samplers import SamplerConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def layers_and_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    yield layers, spans
+    for name in ("layers", "spans"):
+        sys.modules.pop(name, None)
+
+
+def test_perfbench_wrappers_install_run_and_restore(layers_and_spans):
+    layers, spans = layers_and_spans
+    n = 40
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, n, size=240)
+    dst = rng.integers(0, n, size=240)
+    keep = src % 4 != 0  # every fourth node is a sink
+    g = Graph(n, src[keep], dst[keep], np.ones(int(keep.sum())), directed=True)
+    seen = []
+
+    def step_callback(state, node, tag):
+        seen.append(len(state.dangling_members))
+
+    tracer = spans.Tracer()
+    patcher = layers.install(tracer)
+    try:
+        result = netsample.samplers.SAMPLERS["tcpr"](
+            g, SamplerConfig(target_size=20, rng_seed=3, seed_nodes=(1,)), step_callback=step_callback
+        )
+    finally:
+        patcher.restore()
+    assert patcher.unrestored() == []
+    assert tracer.check_failures == []
+
+    assert len(seen) == 20
+    assert seen[-1] == sum(g.out_strength[v] <= 0 for v in result.nodes) > 0
+    calls = {name: s["calls"] for name, s in tracer.summary().items()}
+    for name in ("sampler.tcpr", "samplers.tcpr.score", "samplers.tcpr.delta",
+                 "samplers.base.walk", "samplers.base.leaderboard.offer"):
+        assert calls.get(name, 0) > 0, name
+    assert tracer.counters["graph.neighbor_queries"] > 0

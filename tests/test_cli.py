@@ -90,6 +90,21 @@ def test_sample_validation_error_exits_1(tmp_path):
     assert "Error" in r.output
 
 
+def test_sample_rejects_bad_seed_nodes(tmp_path):
+    edges = write_edge_list(tmp_path)
+    base = ["sample", "--edge-list", str(edges), "--sampler", "rn", "--size", "2",
+            "--output", str(tmp_path / "x")]
+    for seeds, message in [
+        (["--seed-node", "99"], "seed node 99 not in 0..3"),
+        (["--seed-node", "0", "--seed-node", "1"], "at most one seed node allowed, got [0, 1]"),
+    ]:
+        r = CliRunner().invoke(cli, base + seeds)
+        assert r.exit_code == 1
+        assert message in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "x.json").exists()
+
+
 def test_centrality_command(tmp_path):
     edges = write_edge_list(tmp_path)
     out = tmp_path / "pr.csv"

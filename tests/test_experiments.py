@@ -19,6 +19,7 @@ from netsample.experiments import (
     read_raw_csv,
     run_experiment,
 )
+from netsample.graph import Graph
 
 SBM_INPUT = {
     "sbm": {
@@ -267,6 +268,26 @@ def test_full_centrality_cache(tmp_path, monkeypatch):
     assert np.array_equal(v1.scores, v2.scores)
     with pytest.raises(ValidationError):
         full_centrality(g, "mystery", spec)
+
+
+def test_full_centrality_cache_keeps_convergence_metadata(tmp_path, monkeypatch):
+    monkeypatch.setenv("NETSAMPLE_CACHE_DIR", str(tmp_path / "cache"))
+    spec = small_spec()
+    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)], directed=False)
+
+    def meta(vec):
+        return vec.iterations, vec.residual, vec.converged
+
+    fresh = full_centrality(star, "eigenvector", spec, cache_root=str(tmp_path))
+    cached = full_centrality(star, "eigenvector", spec, cache_root=str(tmp_path))
+    assert meta(cached) == meta(fresh)
+    assert np.array_equal(cached.scores, fresh.scores)
+    # a missing sidecar is a miss: the vector is recomputed and both files rewritten
+    (sidecar,) = (tmp_path / "cache").glob("eigenvector-*.json")
+    sidecar.unlink()
+    assert meta(full_centrality(star, "eigenvector", spec, cache_root=str(tmp_path))) == meta(fresh)
+    assert sidecar.exists()
+    assert meta(full_centrality(star, "eigenvector", spec, cache_root=str(tmp_path))) == meta(fresh)
 
 
 def test_sample_subgraph_betweenness_uses_pivots_above_limit(tmp_path, monkeypatch):

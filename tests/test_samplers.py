@@ -24,7 +24,12 @@ from netsample.samplers import (
 )
 from netsample.samplers.base import Leaderboard, SampleState, neighborhood
 from netsample.samplers.baselines import node2vec_step_weights
-from netsample.samplers.tcpr import init_delta, recompute_delta, update_deltas_on_admit
+from netsample.samplers.tcpr import (
+    init_delta,
+    member_deltas,
+    recompute_delta,
+    update_deltas_on_admit,
+)
 
 from conftest import (
     dense_adjacency,
@@ -94,6 +99,22 @@ def test_config_rejects_non_integer_seed_nodes(seeds):
 def test_config_keeps_integer_seed_nodes():
     cfg = SamplerConfig(target_size=5, seed_nodes=[np.int64(3), 4])
     assert cfg.seed_nodes == (3, 4) and all(type(s) is int for s in cfg.seed_nodes)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ((99,), "seed node 99 not in 0..5"),
+        ((-1,), "seed node -1 not in 0..5"),
+        ((6,), "seed node 6 not in 0..5"),
+        ((0, 1), r"at most one seed node allowed, got \[0, 1\]"),
+    ],
+)
+def test_samplers_reject_bad_seed_nodes(name, seeds, message):
+    g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)], directed=True)
+    with pytest.raises(ValidationError, match=message):
+        SAMPLERS[name](g, SamplerConfig(target_size=2, seed_nodes=seeds))
 
 
 def test_alpha_resolution():
@@ -352,6 +373,10 @@ def test_tcpr_score_rejects_dangling_and_member():
 
 def test_tcpr_delta_updates_match_recomputation(rng):
     g = random_digraph(30, 0.15, rng)
+    # make two of the admitted nodes sinks so dangling deltas are read too
+    src, dst, w = g.edge_arrays()
+    keep = ~np.isin(src, [17, 9])
+    g = Graph(30, src[keep], dst[keep], w[keep], directed=True)
     dout = g.out_strength
     dangling = dout <= 0
     state = SampleState.empty(30, capacity=10, with_delta=True)
@@ -361,9 +386,10 @@ def test_tcpr_delta_updates_match_recomputation(rng):
         init_delta(g, state, s, dangling, dout)
         update_deltas_on_admit(g, state, s, dangling, dout)
         for x in state.members:
-            assert state.delta[x] == pytest.approx(
+            assert member_deltas(g, state, [x])[0] == pytest.approx(
                 recompute_delta(g, state.member_mask, x), abs=1e-12
             )
+    assert state.dangling_members == [17, 9]
 
 
 def test_tcpr_run_skips_dangling_candidates(rng):
