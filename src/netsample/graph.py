@@ -33,8 +33,7 @@ def _build_csr(n, src, dst, w):
         dst = dst[new_run]
         w = np.bincount(run_id, weights=w)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst.astype(np.int64), w.astype(np.float64), src.astype(np.int64)
 
 
@@ -60,13 +59,11 @@ class Graph:
             raise ValidationError("negative edge weight")
         self.n = int(n)
         self.directed = bool(directed)
-        self._out_indptr, self._out_dst, self._out_w, _ = _build_csr(n, src, dst, w)
-        self._in_indptr, self._in_src, self._in_w, _ = _build_csr(n, dst, src, w)
-        self.out_strength = np.zeros(n, dtype=np.float64)
-        np.add.at(self.out_strength, self.edge_src(), self._out_w)
-        self.in_strength = np.zeros(n, dtype=np.float64)
-        cnt = np.diff(self._in_indptr)
-        np.add.at(self.in_strength, np.repeat(np.arange(n), cnt), self._in_w)
+        self._out_indptr, self._out_dst, self._out_w, out_src = _build_csr(n, src, dst, w)
+        self._in_indptr, self._in_src, self._in_w, in_dst = _build_csr(n, dst, src, w)
+        # bincount adds in edge order; astype keeps float64 when there are no edges
+        self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
+        self.in_strength = np.bincount(in_dst, self._in_w, n).astype(np.float64)
 
     # -- construction -------------------------------------------------
 
@@ -79,21 +76,11 @@ class Graph:
         """
         src, dst, w = [], [], []
         for e in edges:
-            if len(e) == 2:
-                a, b = e
-                wt = 1.0
-            else:
-                a, b, wt = e
+            a, b, wt = e if len(e) == 3 else (*e, 1.0)
             src.append(a)
             dst.append(b)
             w.append(wt)
-        return cls.from_arrays(
-            n,
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(w, dtype=np.float64),
-            directed,
-        )
+        return cls.from_arrays(n, src, dst, w, directed)
 
     @classmethod
     def from_arrays(cls, n, src, dst, w, directed: bool) -> "Graph":
@@ -101,6 +88,9 @@ class Graph:
         dst = np.asarray(dst, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
         if not directed:
+            # orient every edge low -> high first, so that both directions of a
+            # pair merge the same weights in the same order
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
             loop = src == dst
             src2 = np.concatenate([src, dst[~loop]])
             dst2 = np.concatenate([dst, src[~loop]])
@@ -220,11 +210,8 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    ids = np.unique(np.concatenate([src, dst])) if src.size else np.empty(0, dtype=np.int64)
-    remap = {int(orig): i for i, orig in enumerate(ids)}
-    src_d = np.asarray([remap[int(a)] for a in src], dtype=np.int64)
-    dst_d = np.asarray([remap[int(b)] for b in dst], dtype=np.int64)
-    g = Graph.from_arrays(len(ids), src_d, dst_d, w, directed)
+    ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    g = Graph.from_arrays(ids.size, dense[: src.size], dense[src.size :], w, directed)
     return g, NodeMapping(sub_to_full=ids)
 
 
@@ -284,9 +271,9 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
         raise ValidationError("node id out of range")
     mask = np.zeros(g.n, dtype=bool)
     mask[node_arr] = True
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[node_arr] = np.arange(node_arr.size)
+    sub_id = np.full(g.n, -1, dtype=np.int64)
+    sub_id[node_arr] = np.arange(node_arr.size)
     src, dst, w = g.edge_arrays()
     keep = mask[src] & mask[dst]
-    sub = Graph(node_arr.size, remap[src[keep]], remap[dst[keep]], w[keep], directed=g.directed)
+    sub = Graph(node_arr.size, sub_id[src[keep]], sub_id[dst[keep]], w[keep], directed=g.directed)
     return sub, NodeMapping(sub_to_full=node_arr)

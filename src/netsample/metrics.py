@@ -47,78 +47,64 @@ class CategoricalDistribution:
         return float(self.probs[self.labels.index(label)])
 
 
-def _merge_count_inversions(y: np.ndarray) -> int:
-    """Strict inversions (y[i] > y[j] for i < j) by merge sort."""
-    arr = list(y)
-    buf = [0.0] * len(arr)
-    inv = 0
-
-    def sort(lo, hi):
-        nonlocal inv
-        if hi - lo <= 1:
-            return
-        mid = (lo + hi) // 2
-        sort(lo, mid)
-        sort(mid, hi)
-        i, j, k = lo, mid, lo
-        while i < mid and j < hi:
-            if arr[j] < arr[i]:  # strict: equal keys are not inversions
-                inv += mid - i
-                buf[k] = arr[j]
-                j += 1
-            else:
-                buf[k] = arr[i]
-                i += 1
-            k += 1
-        buf[k : k + (mid - i)] = arr[i:mid]
-        k += mid - i
-        buf[k : k + (hi - j)] = arr[j:hi]
-        arr[lo:hi] = buf[lo:hi]
-
-    sort(0, len(arr))
-    return inv
+def _tie_pairs(*cols: np.ndarray) -> int:
+    """Pairs tied in every column; the columns must be sorted jointly."""
+    change = np.zeros(cols[0].size + 1, dtype=bool)
+    change[[0, -1]] = True
+    for c in cols:
+        change[1:-1] |= c[1:] != c[:-1]
+    runs = np.diff(np.flatnonzero(change))
+    return int(np.sum(runs * (runs - 1) // 2))
 
 
-def _tie_pairs(sorted_vals: np.ndarray) -> int:
+def _discordant_pairs(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j] (ranks in 0..n-1), by bottom-up merge.
+
+    Each level merges sorted blocks of ``width`` pairwise. The key
+    ``pair * n + rank`` keeps the pairs apart, so one sort merges every pair,
+    and two searchsorted calls count, for each right-block element, the
+    left-block elements of the same pair with a larger rank.
+    """
+    n = ranks.size
+    pos = np.arange(n)
+    a = ranks.astype(np.int64)
     total = 0
-    run = 1
-    for a, b in zip(sorted_vals[:-1], sorted_vals[1:]):
-        if a == b:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
+    width = 1
+    while width < n:
+        pair = pos // (2 * width)
+        keys = pair * n + a
+        left = (pos // width) % 2 == 0
+        lkeys = keys[left]
+        above = np.searchsorted(lkeys, (pair[~left] + 1) * n)
+        total += int(np.sum(above - np.searchsorted(lkeys, keys[~left], side="right")))
+        a = np.sort(keys) - pair * n
+        width *= 2
     return total
 
 
 def kendall_tau(x, y) -> float:
-    """Tie-corrected Kendall tau-b in O(n log n) (Knight's algorithm)."""
+    """Tie-corrected Kendall tau-b in O(n log^2 n) (Knight's algorithm).
+
+    The pair counts are exact integers, so the result does not depend on
+    summation order.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValidationError("inputs must be equal-length vectors of size >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("inputs must be finite (no NaN or infinity)")
     n = x.size
     perm = np.lexsort((y, x))
     xs, ys = x[perm], y[perm]
     n0 = n * (n - 1) // 2
     n1 = _tie_pairs(xs)
     n2 = _tie_pairs(np.sort(y))
-    # pairs tied in both coordinates
-    joint = np.lexsort((ys, xs))
-    pair_sorted = list(zip(xs[joint], ys[joint]))
-    n3 = 0
-    run = 1
-    for a, b in zip(pair_sorted[:-1], pair_sorted[1:]):
-        if a == b:
-            run += 1
-        else:
-            n3 += run * (run - 1) // 2
-            run = 1
-    n3 += run * (run - 1) // 2
+    n3 = _tie_pairs(xs, ys)  # pairs tied in both coordinates
     if n1 == n0 or n2 == n0:
         raise UndefinedCorrelationError("constant input vector")
-    discordant = _merge_count_inversions(ys)
+    # within a run of tied x, ys ascends, so strict inversions are the discordant pairs
+    discordant = _discordant_pairs(np.unique(ys, return_inverse=True)[1])
     num = n0 - n1 - n2 + n3 - 2 * discordant
     return num / math.sqrt((n0 - n1) * (n0 - n2))
 

@@ -38,10 +38,10 @@ def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.nda
     state.delta[s] = float(out_w[keep].sum()) / float(dout[s])
 
 
-def update_deltas_on_admit(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.ndarray) -> None:
+def update_deltas_on_admit(g, state: SampleState, s: int, dout: np.ndarray) -> None:
     """Remove the admitted node's term from every non-dangling member's delta.
 
-    ``dangling`` is not read: no dangling member's delta is stored.
+    No dangling member's delta is stored, so there is none to update.
     """
     in_idx, in_w = g.in_neighbors(s)
     mem = state.member_mask[in_idx] & (in_idx != s)
@@ -115,7 +115,7 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
 
     def on_admit(node):
         init_delta(g, state, node, dangling, dout)
-        update_deltas_on_admit(g, state, node, dangling, dout)
+        update_deltas_on_admit(g, state, node, dout)
 
     def offer_candidates(node):
         in_idx, _ = g.in_neighbors(node)

@@ -6,6 +6,7 @@ path enumeration) and never share code with the implementations they check.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from netsample.errors import PartialSampleError, ValidationError
+from netsample.errors import PartialSampleError, UndefinedCorrelationError, ValidationError
 from netsample.graph import Graph
 
 # property tests draw the same examples on every run
@@ -227,6 +228,64 @@ def brute_kendall_tau_b(x, y) -> float:
                 disc += 1
     denom = np.sqrt((conc + disc + tx) * (conc + disc + ty))
     return (conc - disc) / denom
+
+
+def reference_kendall_tau(x, y) -> float:
+    """Tau-b from a recursive merge sort and Python tie-run loops; the numpy
+    ``kendall_tau`` must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+
+    def tie_pairs(sorted_vals) -> int:
+        total = 0
+        run = 1
+        for a, b in zip(sorted_vals[:-1], sorted_vals[1:]):
+            if a == b:
+                run += 1
+            else:
+                total += run * (run - 1) // 2
+                run = 1
+        return total + run * (run - 1) // 2
+
+    perm = np.lexsort((y, x))
+    xs, ys = x[perm], y[perm]
+    n0 = n * (n - 1) // 2
+    n1 = tie_pairs(xs)
+    n2 = tie_pairs(np.sort(y))
+    n3 = tie_pairs(list(zip(xs, ys)))
+    if n1 == n0 or n2 == n0:
+        raise UndefinedCorrelationError("constant input vector")
+
+    arr = list(ys)
+    buf = [0.0] * n
+    inv = 0
+
+    def sort(lo, hi):
+        nonlocal inv
+        if hi - lo <= 1:
+            return
+        mid = (lo + hi) // 2
+        sort(lo, mid)
+        sort(mid, hi)
+        i, j, k = lo, mid, lo
+        while i < mid and j < hi:
+            if arr[j] < arr[i]:  # strict: equal keys are not inversions
+                inv += mid - i
+                buf[k] = arr[j]
+                j += 1
+            else:
+                buf[k] = arr[i]
+                i += 1
+            k += 1
+        buf[k : k + (mid - i)] = arr[i:mid]
+        k += mid - i
+        buf[k : k + (hi - j)] = arr[j:hi]
+        arr[lo:hi] = buf[lo:hi]
+
+    sort(0, n)
+    num = n0 - n1 - n2 + n3 - 2 * inv
+    return num / math.sqrt((n0 - n1) * (n0 - n2))
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:

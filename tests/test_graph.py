@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netsample.errors import ParseError, ValidationError
 from netsample.graph import (
@@ -46,11 +48,37 @@ def test_undirected_mirrors_edges_and_keeps_loops_once():
     assert g.num_edges == 3
 
 
+def test_undirected_weights_symmetric_bitwise():
+    # the pair appears in both orientations; each direction must sum the same way
+    g = Graph.from_edges(2, [(0, 1, 0.25), (0, 1, 1e-7), (1, 0, 0.25)], directed=False)
+    a = dense_adjacency(g)
+    assert np.array_equal(a, a.T)
+
+
 def test_strength_vectors(rng):
     g = random_digraph(25, 0.15, rng, weighted=True)
     a = dense_adjacency(g)
     assert np.allclose(g.out_strength, a.sum(axis=1))
     assert np.allclose(g.in_strength, a.sum(axis=0))
+
+
+def test_strengths_bitwise_equal_add_at_reference(rng):
+    for directed in (True, False):
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(0, 4 * n))
+            src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+            src, dst = np.concatenate([src, src[: m // 3]]), np.concatenate([dst, dst[: m // 3]])
+            w = rng.random(src.size) * 10.0 ** rng.uniform(-3, 3, src.size)
+            g = Graph.from_arrays(n, src, dst, w, directed=directed)
+            s, d, ew = g.edge_arrays()  # per target, sources ascend as in the in-lists
+            out_ref = np.zeros(n)
+            np.add.at(out_ref, s, ew)
+            in_ref = np.zeros(n)
+            np.add.at(in_ref, d, ew)
+            assert g.out_strength.dtype == g.in_strength.dtype == np.float64
+            assert np.array_equal(g.out_strength.view(np.int64), out_ref.view(np.int64))
+            assert np.array_equal(g.in_strength.view(np.int64), in_ref.view(np.int64))
 
 
 def test_validation_rejects_bad_edges():
@@ -91,6 +119,37 @@ def test_edge_list_round_trip(tmp_path):
     g2, mapping2 = load_edge_list(out, directed=True)
     assert np.array_equal(mapping2.sub_to_full, mapping.sub_to_full)
     assert np.array_equal(dense_adjacency(g2), dense_adjacency(g))
+
+
+@st.composite
+def sparse_id_edge_lists(draw):
+    """Edges over sparse, non-contiguous original ids, optionally weighted."""
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=15, unique=True))
+    weighted = draw(st.booleans())
+    weight = st.sampled_from([0.0, 0.25, 1.0, 2.5, 1e-7]) if weighted else st.just(1.0)
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), weight), max_size=40))
+    return edges, draw(st.booleans())
+
+
+@given(sparse_id_edge_lists())
+def test_edge_list_round_trip_property(tmp_path_factory, case):
+    edges, directed = case
+    used = sorted({v for a, b, _ in edges for v in (a, b)})
+    g = Graph.from_edges(
+        len(used), [(used.index(a), used.index(b), w) for a, b, w in edges], directed=directed
+    )
+    path = tmp_path_factory.mktemp("rt") / "g.txt"
+    save_edge_list(g, path, NodeMapping(sub_to_full=np.array(used, dtype=np.int64)))
+    g2, mapping = load_edge_list(path, directed=directed)
+    assert np.all(np.diff(mapping.sub_to_full) > 0)
+    assert mapping.sub_to_full.tolist() == used
+
+    def full_edges(graph, m):
+        src, dst, w = graph.edge_arrays()
+        return sorted(zip(m.to_full(src).tolist(), m.to_full(dst).tolist(), w.tolist()))
+
+    expect = full_edges(g, NodeMapping(sub_to_full=np.array(used, dtype=np.int64)))
+    assert full_edges(g2, mapping) == expect
 
 
 def test_undirected_save_writes_each_edge_once(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netsample.errors import (
     DegenerateEntropyWarning,
@@ -18,7 +20,7 @@ from netsample.metrics import (
     label_histogram,
 )
 
-from conftest import brute_kendall_tau_b
+from conftest import brute_kendall_tau_b, reference_kendall_tau
 
 
 def test_kendall_perfect_agreement_and_reversal():
@@ -51,6 +53,46 @@ def test_kendall_errors():
         kendall_tau([1.0], [2.0])
     with pytest.raises(ValidationError):
         kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            kendall_tau([1.0, bad, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValidationError, match="finite"):
+            kendall_tau([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 3.0])
+
+
+def _same_tau_or_both_undefined(x, y):
+    try:
+        expect = reference_kendall_tau(x, y)
+    except UndefinedCorrelationError:
+        with pytest.raises(UndefinedCorrelationError):
+            kendall_tau(x, y)
+        return
+    got = kendall_tau(x, y)
+    assert np.float64(got).view(np.int64) == np.float64(expect).view(np.int64)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Equal-length vectors over a few values, -0.0 and 0.0 among them."""
+    n = draw(st.integers(2, 300))
+    vals = st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n)
+    return draw(vals), draw(vals)
+
+
+@given(tie_heavy_pairs())
+def test_kendall_bitwise_equals_reference(xy):
+    _same_tau_or_both_undefined(*xy)
+
+
+def test_kendall_bitwise_equals_reference_large_tied(rng):
+    # n = 5000 runs thirteen merge levels; rounding gives long tie runs, and
+    # the distinct case reaches the top dense rank n - 1
+    n = 5000
+    x = np.round(rng.random(n), 2)
+    y = np.round(0.5 * x + rng.random(n), 1)
+    _same_tau_or_both_undefined(x, y)
+    _same_tau_or_both_undefined(x, -y)
+    _same_tau_or_both_undefined(rng.permutation(n), rng.random(n))
 
 
 def test_categorical_distribution():

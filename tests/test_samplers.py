@@ -384,7 +384,7 @@ def test_tcpr_delta_updates_match_recomputation(rng):
         state.members.append(s)
         state.member_mask[s] = True
         init_delta(g, state, s, dangling, dout)
-        update_deltas_on_admit(g, state, s, dangling, dout)
+        update_deltas_on_admit(g, state, s, dout)
         for x in state.members:
             assert member_deltas(g, state, [x])[0] == pytest.approx(
                 recompute_delta(g, state.member_mask, x), abs=1e-12
