@@ -8,8 +8,11 @@ file ids and return the mapping alongside the graph.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -19,22 +22,31 @@ from .errors import ParseError, ValidationError
 UNKNOWN_LABEL = "unknown"
 
 
-def _build_csr(n, src, dst, w):
-    """Sort edges by (src, dst), merge duplicates by weight sum, build CSR."""
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    if src.size:
-        # collapse runs of identical (src, dst) pairs
-        new_run = np.empty(src.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        run_id = np.cumsum(new_run) - 1
-        src = src[new_run]
-        dst = dst[new_run]
-        w = np.bincount(run_id, weights=w)
+# the out-list sort key src * n + dst must not overflow int64
+_MAX_NODES = math.isqrt(2**63 - 1)
+
+
+def _merge_parallel(n, src, dst, w):
+    """Sort edges by (src, dst) and merge parallel edges by weight sum.
+
+    A stable sort of ``src * n + dst`` gives the order of ``lexsort((dst,
+    src))``, so each pair's weights are summed in input order.
+    """
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    # astype keeps float64 when there are no edges
+    w = np.bincount(np.cumsum(first) - 1, weights=w[order]).astype(np.float64)
+    kept = order[first]
+    return src[kept], dst[kept], w
+
+
+def _indptr(rows, n):
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst.astype(np.int64), w.astype(np.float64), src.astype(np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 class Graph:
@@ -51,6 +63,8 @@ class Graph:
         w = np.asarray(w, dtype=np.float64)
         if not (src.shape == dst.shape == w.shape):
             raise ValidationError("edge arrays must have equal length")
+        if n > _MAX_NODES:
+            raise ValidationError(f"n={n} exceeds the limit of {_MAX_NODES} nodes")
         if src.size and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ValidationError("edge endpoint out of range")
         if not np.all(np.isfinite(w)):
@@ -59,11 +73,16 @@ class Graph:
             raise ValidationError("negative edge weight")
         self.n = int(n)
         self.directed = bool(directed)
-        self._out_indptr, self._out_dst, self._out_w, out_src = _build_csr(n, src, dst, w)
-        self._in_indptr, self._in_src, self._in_w, in_dst = _build_csr(n, dst, src, w)
-        # bincount adds in edge order; astype keeps float64 when there are no edges
+        out_src, self._out_dst, self._out_w = _merge_parallel(n, src, dst, w)
+        self._out_indptr = _indptr(out_src, n)
+        # a stable sort by target keeps each in-list's sources ascending
+        order = np.argsort(self._out_dst, kind="stable")
+        self._in_indptr = _indptr(self._out_dst, n)
+        self._in_src, self._in_w = out_src[order], self._out_w[order]
+        # bincount adds in list order, so each target's in-weights arrive by
+        # ascending source, as in its in-list
         self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
-        self.in_strength = np.bincount(in_dst, self._in_w, n).astype(np.float64)
+        self.in_strength = np.bincount(self._out_dst, self._out_w, n).astype(np.float64)
 
     # -- construction -------------------------------------------------
 
@@ -75,11 +94,15 @@ class Graph:
         (self-loops only once). Duplicate edges merge by weight summation.
         """
         src, dst, w = [], [], []
-        for e in edges:
-            a, b, wt = e if len(e) == 3 else (*e, 1.0)
-            src.append(a)
-            dst.append(b)
-            w.append(wt)
+        for i, e in enumerate(edges):
+            try:
+                if len(e) not in (2, 3):
+                    raise ValueError(f"expected (src, dst) or (src, dst, w), got {len(e)} fields")
+                src.append(np.int64(e[0]))
+                dst.append(np.int64(e[1]))
+                w.append(np.float64(e[2]) if len(e) == 3 else 1.0)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"edge {i} {e!r}: {exc}") from None
         return cls.from_arrays(n, src, dst, w, directed)
 
     @classmethod
@@ -180,6 +203,12 @@ class LabeledPartition:
         return len(self.assignments)
 
 
+_PAIR = np.dtype([("src", np.int64), ("dst", np.int64)])
+_TRIPLE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
+_INT64 = range(-(2**63), 2**63)
+_WRITE_BLOCK = 1 << 16
+
+
 def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     """Read a SNAP-style edge list: ``src ws dst [ws weight]``, '#' comments.
 
@@ -187,32 +216,89 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     edges merge by weight summation; self-loops are kept; for undirected
     graphs each edge is materialized in both directions.
     """
-    src, dst, w = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError("expected 2 ids or 2 ids + weight", path, line_no)
-            try:
-                a = int(parts[0])
-                b = int(parts[1])
-                wt = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise ParseError(f"malformed line: {exc}", path, line_no) from None
-            if not math.isfinite(wt) or wt < 0:
-                raise ValidationError(f"{path}:{line_no}: weight {wt} must be finite and >= 0")
-            src.append(a)
-            dst.append(b)
-            w.append(wt)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
+    cols = _parse_columns(path)
+    src, dst, w = cols if cols is not None else _scan_lines(path)
     ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
     g = Graph.from_arrays(ids.size, dense[: src.size], dense[src.size :], w, directed)
     return g, NodeMapping(sub_to_full=ids)
+
+
+def _parse_columns(path):
+    """Parse an edge list in one ``np.loadtxt`` pass, or return None.
+
+    ``loadtxt`` takes inline ``#`` comments and NaN, infinite or negative
+    weights, which ``_scan_lines`` rejects. Files with any of these or with
+    lone ``\\r`` line ends, and files ``loadtxt`` cannot parse (mixed 2- and
+    3-field lines, ``1_000`` or Unicode digits, ids beyond int64, invalid
+    UTF-8), return None and are left to ``_scan_lines``.
+    """
+    data = Path(path).read_bytes()
+    if data.count(b"\r") != data.count(b"\r\n") or not _hashes_begin_comments(data):
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for dtype in (_PAIR, _TRIPLE):
+            try:
+                rows = np.loadtxt(path, dtype=dtype, comments="#", encoding="utf-8", ndmin=1)
+            except ValueError:
+                continue
+            w = rows["w"] if dtype is _TRIPLE else np.ones(rows.size)
+            if not (np.all(np.isfinite(w)) and np.all(w >= 0)):
+                return None
+            return rows["src"], rows["dst"], w
+    return None
+
+
+def _hashes_begin_comments(data: bytes) -> bool:
+    """True if only whitespace precedes each ``#`` that is not inside a comment."""
+    at = data.find(b"#")
+    while at >= 0:
+        if data[data.rfind(b"\n", 0, at) + 1 : at].strip():
+            return False
+        end = data.find(b"\n", at)
+        at = -1 if end < 0 else data.find(b"#", end)
+    return True
+
+
+def _scan_lines(path):
+    """Parse an edge list line by line, raising on the first bad line.
+
+    The loader's only source of ``ParseError`` and ``ValidationError``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line_no = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise ParseError(f"not valid UTF-8: {exc.reason}", path, line_no) from None
+    src, dst, w = [], [], []
+    # newline=None ends lines at \n, \r and \r\n, as open() does
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError("expected 2 ids or 2 ids + weight", path, line_no)
+        try:
+            a = int(parts[0])
+            b = int(parts[1])
+            wt = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise ParseError(f"malformed line: {exc}", path, line_no) from None
+        if not math.isfinite(wt) or wt < 0:
+            raise ValidationError(f"{path}:{line_no}: weight {wt} must be finite and >= 0")
+        if a not in _INT64 or b not in _INT64:
+            raise ParseError("node id outside the int64 range", path, line_no)
+        src.append(a)
+        dst.append(b)
+        w.append(wt)
+    return (
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(w, dtype=np.float64),
+    )
 
 
 def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
@@ -228,11 +314,12 @@ def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
         src = mapping.to_full(src)
         dst = mapping.to_full(dst)
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b, wt in zip(src, dst, w):
-            if wt == 1.0:
-                fh.write(f"{int(a)} {int(b)}\n")
-            else:
-                fh.write(f"{int(a)} {int(b)} {float(wt)!r}\n")
+        # format a block of rows per write, so memory stays flat in the edge count
+        for lo in range(0, src.size, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            rows = zip(src[block].tolist(), dst[block].tolist(), w[block].tolist())
+            lines = [f"{a} {b}\n" if wt == 1.0 else f"{a} {b} {wt!r}\n" for a, b, wt in rows]
+            fh.write("".join(lines))
 
 
 def load_labels(path) -> LabeledPartition:

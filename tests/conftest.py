@@ -14,8 +14,13 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from netsample.errors import PartialSampleError, UndefinedCorrelationError, ValidationError
-from netsample.graph import Graph
+from netsample.errors import (
+    ParseError,
+    PartialSampleError,
+    UndefinedCorrelationError,
+    ValidationError,
+)
+from netsample.graph import Graph, NodeMapping
 
 # property tests draw the same examples on every run
 settings.register_profile("netsample", derandomize=True, max_examples=60, deadline=None)
@@ -23,11 +28,13 @@ settings.load_profile("netsample")
 
 
 @st.composite
-def small_graphs(draw, max_n=12):
+def small_graphs(draw, max_n=12, weighted=False):
     """Random graphs with sinks, isolated nodes, self-loops and repeated edges."""
     n = draw(st.integers(1, max_n))
     directed = draw(st.booleans())
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.1, 1.0, 2.5, 1e-7])
+    pairs = st.tuples(node, node, weight) if weighted else st.tuples(node, node)
     edges = draw(st.lists(pairs, max_size=3 * n))  # self-loops allowed
     return Graph.from_edges(n, edges, directed=directed)
 
@@ -362,6 +369,123 @@ def reference_betweenness(g: Graph, sources=None) -> np.ndarray:
             if w != s:
                 bc[w] += dep[w]
     return bc
+
+
+# -- graph build and edge-list references -------------------------------
+
+
+def reference_build_csr(n, src, dst, w):
+    """The two-key lexsort CSR build that ``Graph`` must match bit for bit:
+    sort by (src, dst), merge duplicates by weight sum."""
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if src.size:
+        new_run = np.empty(src.size, dtype=bool)
+        new_run[0] = True
+        new_run[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        run_id = np.cumsum(new_run) - 1
+        src = src[new_run]
+        dst = dst[new_run]
+        w = np.bincount(run_id, weights=w)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst.astype(np.int64), w.astype(np.float64), src.astype(np.int64)
+
+
+GRAPH_ARRAYS = (
+    "_out_indptr",
+    "_out_dst",
+    "_out_w",
+    "_in_indptr",
+    "_in_src",
+    "_in_w",
+    "out_strength",
+    "in_strength",
+)
+
+
+def reference_graph_arrays(n, src, dst, w, directed) -> dict:
+    """CSR arrays and strengths of ``Graph.from_arrays``, built per direction
+    by ``reference_build_csr``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        loop = src == dst
+        src, dst, w = (
+            np.concatenate([src, dst[~loop]]),
+            np.concatenate([dst, src[~loop]]),
+            np.concatenate([w, w[~loop]]),
+        )
+    out_indptr, out_dst, out_w, out_src = reference_build_csr(n, src, dst, w)
+    in_indptr, in_src, in_w, in_dst = reference_build_csr(n, dst, src, w)
+    out_strength = np.bincount(out_src, out_w, n).astype(np.float64)
+    in_strength = np.bincount(in_dst, in_w, n).astype(np.float64)
+    arrays = (out_indptr, out_dst, out_w, in_indptr, in_src, in_w, out_strength, in_strength)
+    return dict(zip(GRAPH_ARRAYS, arrays))
+
+
+def graph_arrays(g: Graph) -> dict:
+    return {k: getattr(g, k) for k in GRAPH_ARRAYS}
+
+
+def assert_bitwise_equal(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].dtype == want[k].dtype, k
+        assert got[k].shape == want[k].shape, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def reference_load_edge_list(path, directed: bool):
+    """The line-by-line edge-list reader that ``load_edge_list`` must match:
+    same graph and mapping, or the same error. It raises a raw
+    ``OverflowError`` for ids beyond int64 and ``UnicodeDecodeError`` for
+    invalid UTF-8, where ``load_edge_list`` raises ``ParseError``."""
+    src, dst, w = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ParseError("expected 2 ids or 2 ids + weight", path, line_no)
+            try:
+                a = int(parts[0])
+                b = int(parts[1])
+                wt = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError as exc:
+                raise ParseError(f"malformed line: {exc}", path, line_no) from None
+            if not math.isfinite(wt) or wt < 0:
+                raise ValidationError(f"{path}:{line_no}: weight {wt} must be finite and >= 0")
+            src.append(a)
+            dst.append(b)
+            w.append(wt)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    g = Graph.from_arrays(ids.size, dense[: src.size], dense[src.size :], w, directed)
+    return g, NodeMapping(sub_to_full=ids)
+
+
+def reference_save_edge_list(g: Graph, path, mapping=None) -> None:
+    """The per-edge writer whose bytes ``save_edge_list`` must reproduce."""
+    src, dst, w = g.edge_arrays()
+    if not g.directed:
+        keep = src <= dst
+        src, dst, w = src[keep], dst[keep], w[keep]
+    if mapping is not None:
+        src = mapping.to_full(src)
+        dst = mapping.to_full(dst)
+    with open(path, "w", encoding="utf-8") as fh:
+        for a, b, wt in zip(src, dst, w):
+            if wt == 1.0:
+                fh.write(f"{int(a)} {int(b)}\n")
+            else:
+                fh.write(f"{int(a)} {int(b)} {float(wt)!r}\n")
 
 
 @pytest.fixture

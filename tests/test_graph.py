@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsample import graph
 from netsample.errors import ParseError, ValidationError
 from netsample.graph import (
     Graph,
@@ -14,7 +18,17 @@ from netsample.graph import (
     save_edge_list,
 )
 
-from conftest import dense_adjacency, random_digraph
+from conftest import (
+    assert_bitwise_equal,
+    dense_adjacency,
+    graph_arrays,
+    random_digraph,
+    random_undirected,
+    reference_graph_arrays,
+    reference_load_edge_list,
+    reference_save_edge_list,
+    small_graphs,
+)
 
 
 def test_out_in_adjacency_are_transposes(rng):
@@ -81,6 +95,20 @@ def test_strengths_bitwise_equal_add_at_reference(rng):
             assert np.array_equal(g.in_strength.view(np.int64), in_ref.view(np.int64))
 
 
+def test_build_bitwise_equals_lexsort_reference(rng):
+    for directed in (True, False):
+        for n in (0, 1, 2, 7, 40):
+            for m in sorted({0, 1, 3 * n, 8 * n}) if n else (0,):
+                src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+                dup = rng.integers(0, max(m, 1), m // 2)  # weighted duplicate edges
+                src, dst = np.concatenate([src, src[dup]]), np.concatenate([dst, dst[dup]])
+                spread = rng.random(src.size) * 10.0 ** rng.uniform(-3, 3, src.size)
+                for w in (np.ones(src.size), spread):
+                    g = Graph.from_arrays(n, src, dst, w, directed=directed)
+                    want = reference_graph_arrays(n, src, dst, w, directed)
+                    assert_bitwise_equal(graph_arrays(g), want)
+
+
 def test_validation_rejects_bad_edges():
     with pytest.raises(ValidationError):
         Graph(2, [0], [5], [1.0], directed=True)
@@ -88,6 +116,14 @@ def test_validation_rejects_bad_edges():
         Graph(2, [0], [1], [-1.0], directed=True)
     with pytest.raises(ValidationError):
         Graph(2, [0, 1], [1], [1.0], directed=True)
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        Graph(graph._MAX_NODES + 1, [], [], [], directed=True)
+
+
+@pytest.mark.parametrize("bad", [(0,), (0, 1, 1.0, 2), (0, "x"), 5])
+def test_from_edges_names_bad_edge(bad):
+    with pytest.raises(ValidationError, match=r"^edge 1 "):
+        Graph.from_edges(3, [(0, 1), bad, (1, 2)], directed=True)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -162,6 +198,25 @@ def test_undirected_save_writes_each_edge_once(tmp_path):
     assert np.array_equal(dense_adjacency(g2), dense_adjacency(g))
 
 
+@pytest.mark.parametrize("kind", ["weighted", "unit", "undirected"])
+@pytest.mark.parametrize("block", [7, graph._WRITE_BLOCK])
+def test_save_edge_list_bytes_match_reference(tmp_path, rng, monkeypatch, kind, block):
+    monkeypatch.setattr(graph, "_WRITE_BLOCK", block)
+    if kind == "undirected":
+        g = random_undirected(50, 0.1, rng, weighted=True)
+    else:
+        g = random_digraph(50, 0.1, rng)
+    if kind != "unit":  # mix weights that are and are not exactly 1.0
+        src, dst, w = g.edge_arrays()
+        w = rng.choice([1.0, 0.1, 1 / 3, 2.5, 1e-300, 7.0], src.size)
+        g = Graph.from_arrays(g.n, src, dst, w, directed=g.directed)
+    ids = np.sort(rng.choice(10**12, g.n, replace=False))
+    for mapping in (None, NodeMapping(sub_to_full=ids)):
+        save_edge_list(g, tmp_path / "new.txt", mapping)
+        reference_save_edge_list(g, tmp_path / "ref.txt", mapping)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n1 2 3 4\n")
@@ -176,6 +231,143 @@ def test_parse_error_carries_location(tmp_path):
     path.write_text("1 2 -1.0\n")
     with pytest.raises(ValidationError):
         load_edge_list(path, directed=True)
+
+
+@pytest.mark.parametrize("bad_id", ["9223372036854775808", "-9223372036854775809", "1" + "0" * 30])
+def test_load_rejects_id_beyond_int64(tmp_path, bad_id):
+    path = tmp_path / "big.txt"
+    path.write_text(f"# header\n1 2\n3 {bad_id}\n4 5\n")
+    with pytest.raises(ParseError, match=r"big\.txt:3: node id outside the int64 range") as exc:
+        load_edge_list(path, directed=True)
+    assert exc.value.line_no == 3
+
+
+def test_load_accepts_int64_extremes(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("-9223372036854775808 9223372036854775807\n")
+    g, mapping = load_edge_list(path, directed=True)
+    assert mapping.sub_to_full.tolist() == [-(2**63), 2**63 - 1]
+    assert g.num_edges == 1
+
+
+@pytest.mark.parametrize(
+    "data,line_no",
+    [
+        (b"\xff1 2\n", 1),
+        (b"1 2\r\n3 4\r5 6\n7 \xff8\n9 10\n", 4),
+        (b"# caf\xc3\xa9\n1 2\n3 4 \xc3\n", 3),
+    ],
+)
+
+
+def test_load_rejects_invalid_utf8_naming_the_line(tmp_path, data, line_no):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"bin\.txt:{line_no}: not valid UTF-8") as exc:
+        load_edge_list(path, directed=True)
+    assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text,one_pass",
+    [
+        ("1 2\n3 4\n", True),
+        ("# Nodes: 3 Edges: 2\n# FromNodeId\tToNodeId\r\n1\t2\r\n3\t4\r\n", True),
+        ("1 2 0.5\n  # indented # comment\n3 4 2\n", True),
+        ("+5 -3\n\n \t\n", True),
+        ("", True),
+        ("# only a comment\n", True),
+        ("1 2 # inline\n", False),
+        ("1 2\r3 4\r", False),
+        ("1 2 nan\n", False),
+        ("1 2 -1\n", False),
+        ("1 2\n3 4 5\n", False),
+        ("1_000 2\n", False),
+    ],
+)
+
+
+def test_one_pass_parse_takes_only_files_the_line_scan_reads_alike(tmp_path, text, one_pass):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert (graph._parse_columns(path) is not None) == one_pass
+
+
+_SEPS = [" ", "\t", "\xa0", "  ", " \t", "\x0c"]
+_ODD_IDS = ["+5", "007", "-0", "1_000", "١٢"]
+_ODD_WEIGHTS = ["2", "-0.0", ".5", "5.", "1e-7", "1_0.5", "٣"]
+_BIG_IDS = ["9223372036854775808", "-9223372036854775809"]
+_BAD_LINES = ["1 2 nan", "1 2 inf", "1 2 -inf", "3 4 -1", "1 2 # inline", "1", "1 2 3 4"]
+_BAD_LINES += ["x 2", "1.0 2", "1 2 0x1p3"] + [f"{big} 3" for big in _BIG_IDS]
+
+
+@st.composite
+def edge_list_files(draw):
+    """Edge-list text: plain files the one-pass parse takes, files in syntax
+    it must leave to the line scan, and either with a few bad lines."""
+    plain = draw(st.booleans())
+    ids = (st.integers(-(2**63), 2**63 - 1) | st.integers(0, 30)).map(str)
+    weights = st.floats(0, 1e300).map(repr)
+    if plain:
+        seps, ends = st.sampled_from(_SEPS[:2]), st.sampled_from(["\n", "\r\n"])
+        widths = st.just(draw(st.sampled_from([2, 3])))
+    else:
+        ids, weights = ids | st.sampled_from(_ODD_IDS), weights | st.sampled_from(_ODD_WEIGHTS)
+        seps, ends = st.sampled_from(_SEPS), st.sampled_from(["\n", "\r\n", "\r"])
+        widths = st.sampled_from([2, 3])
+
+    @st.composite
+    def data_line(draw):
+        fields = [draw(ids), draw(ids)] + [draw(weights) for _ in range(draw(widths) - 2)]
+        pad = st.sampled_from(["", " ", "\t"])
+        return draw(pad) + draw(seps).join(fields) + draw(pad)
+
+    other = st.sampled_from(["", "   ", "\t", "# comment", "  # indented", "#", "# 1 2 3"])
+    lines = draw(st.lists(data_line() | other, max_size=25))
+    for bad in draw(st.lists(st.sampled_from(_BAD_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    text = "".join(line + draw(ends) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, draw(st.booleans())
+
+
+def _outcome(load, path, directed):
+    try:
+        return load(path, directed=directed)
+    except Exception as exc:  # the error is the outcome compared
+        return exc
+
+
+def _error_line(exc, path) -> int:
+    if isinstance(exc, OverflowError):  # raised after the whole file was read
+        return math.inf
+    return int(re.match(rf"{re.escape(str(path))}:(\d+):", str(exc)).group(1))
+
+
+@settings(max_examples=400)
+@given(edge_list_files())
+def test_load_edge_list_matches_line_reference(tmp_path_factory, case):
+    text, directed = case
+    path = tmp_path_factory.mktemp("diff") / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = _outcome(reference_load_edge_list, path, directed)
+    got = _outcome(load_edge_list, path, directed)
+    with open(path, encoding="utf-8") as fh:
+        big = [i for i, ln in enumerate(fh, start=1) if ln.split()[:1] in ([b] for b in _BIG_IDS)]
+    if big and _error_line(want, path) > big[0]:
+        # the reference reads past an id beyond int64; the loader stops there
+        assert isinstance(got, ParseError) and got.line_no == big[0]
+        assert str(got) == f"{path}:{big[0]}: node id outside the int64 range"
+    elif isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert not isinstance(got, Exception), got
+        (g, mapping), (g_ref, mapping_ref) = got, want
+        assert g.n == g_ref.n and g.directed == g_ref.directed
+        assert mapping.sub_to_full.dtype == mapping_ref.sub_to_full.dtype
+        assert np.array_equal(mapping.sub_to_full, mapping_ref.sub_to_full)
+        assert_bitwise_equal(graph_arrays(g), graph_arrays(g_ref))
 
 
 def test_load_labels(tmp_path):
@@ -203,6 +395,21 @@ def test_induced_subgraph_matches_dense_submatrix(rng):
     expect = a[np.ix_(nodes, nodes)]
     assert np.array_equal(dense_adjacency(sub), expect)
     assert list(mapping.sub_to_full) == nodes
+
+
+@given(small_graphs(weighted=True), st.data())
+def test_induced_subgraph_keeps_exactly_inner_edges(g, data):
+    nodes = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+    sub, mapping = induced_subgraph(g, nodes)
+    inside = sorted(set(nodes))
+    assert mapping.sub_to_full.tolist() == inside
+    assert sub.n == len(inside) and sub.directed == g.directed
+    src, dst, w = g.edge_arrays()
+    keep = np.isin(src, inside) & np.isin(dst, inside)
+    want = list(zip(src[keep].tolist(), dst[keep].tolist(), w[keep].tolist()))
+    s, d, sw = sub.edge_arrays()
+    got = list(zip(mapping.to_full(s).tolist(), mapping.to_full(d).tolist(), sw.tolist()))
+    assert got == want  # both in (src, dst) order, since the id map is increasing
 
 
 def test_induced_subgraph_validation(rng):
