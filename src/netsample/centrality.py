@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
-from .graph import Graph
+from .graph import Graph, csr_rows
 
 # betweenness runs BLOCK_SLOTS // (n + num_edges) sources at a time (at
 # least one), which keeps its per-block key and edge arrays to a few MB;
@@ -156,11 +156,8 @@ def betweenness(g: Graph, sources=None) -> CentralityVector:
 def _gather(indptr, nbrs, keys, n):
     """CSR neighbours of every key ``j*n + v``, in key order: ``(key index, j*n + u)``."""
     v = keys % n
-    start = indptr[v]
-    cnt = indptr[v + 1] - start
-    owner = np.repeat(np.arange(keys.size), cnt)
-    pos = np.arange(owner.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return owner, nbrs[start[owner] + pos] + (keys - v)[owner]
+    owner, pos = csr_rows(indptr, v)
+    return owner, nbrs[pos] + (keys - v)[owner]
 
 
 def _block_dependencies(g: Graph, roots: np.ndarray) -> np.ndarray:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParseError, ValidationError
 
@@ -63,6 +65,8 @@ class Graph:
         w = np.asarray(w, dtype=np.float64)
         if not (src.shape == dst.shape == w.shape):
             raise ValidationError("edge arrays must have equal length")
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+            raise ValidationError(f"n must be a non-negative integer, got {n!r}")
         if n > _MAX_NODES:
             raise ValidationError(f"n={n} exceeds the limit of {_MAX_NODES} nodes")
         if src.size and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
@@ -75,10 +79,14 @@ class Graph:
         self.directed = bool(directed)
         out_src, self._out_dst, self._out_w = _merge_parallel(n, src, dst, w)
         self._out_indptr = _indptr(out_src, n)
-        # a stable sort by target keeps each in-list's sources ascending
-        order = np.argsort(self._out_dst, kind="stable")
-        self._in_indptr = _indptr(self._out_dst, n)
-        self._in_src, self._in_w = out_src[order], self._out_w[order]
+        # scipy's CSR -> CSC transpose is a stable counting sort by target, so
+        # each in-list's sources stay ascending; it may narrow the index dtype
+        csc = sp.csr_matrix(
+            (self._out_w, self._out_dst, self._out_indptr), shape=(self.n, self.n)
+        ).tocsc()
+        self._in_indptr = csc.indptr.astype(np.int64)
+        self._in_src = csc.indices.astype(np.int64)
+        self._in_w = csc.data
         # bincount adds in list order, so each target's in-weights arrive by
         # ascending source, as in its in-list
         self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
@@ -147,8 +155,6 @@ class Graph:
 
     def to_scipy(self):
         """Adjacency as ``scipy.sparse.csr_matrix`` with ``A[i, j]`` = weight i->j."""
-        import scipy.sparse as sp
-
         return sp.csr_matrix(
             (self._out_w, self._out_dst, self._out_indptr), shape=(self.n, self.n)
         )
@@ -218,9 +224,28 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     """
     cols = _parse_columns(path)
     src, dst, w = cols if cols is not None else _scan_lines(path)
-    ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    ids, dense = _dense_ids(np.concatenate([src, dst]))
     g = Graph.from_arrays(ids.size, dense[: src.size], dense[src.size :], w, directed)
     return g, NodeMapping(sub_to_full=ids)
+
+
+def _dense_ids(ids):
+    """Sorted distinct ``ids`` and the rank of each among them; may shift
+    ``ids`` in place.
+
+    When the ids span fewer values than there are ids, a presence mask over
+    the span ranks them without a sort. The span is taken in Python ints,
+    because ``max - min`` can overflow int64.
+    """
+    if ids.size:
+        lo = int(ids.min())
+        span = int(ids.max()) - lo
+        if span < ids.size:
+            ids -= lo
+            present = np.zeros(span + 1, dtype=bool)
+            present[ids] = True
+            return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[ids]
+    return np.unique(ids, return_inverse=True)
 
 
 def _parse_columns(path):
@@ -349,18 +374,30 @@ def load_labels(path) -> LabeledPartition:
     return LabeledPartition(assignments=assignments)
 
 
+def csr_rows(indptr, rows):
+    """Flat CSR positions of the lists of ``rows``, in row order, and the
+    index in ``rows`` that owns each position."""
+    start = indptr[rows]
+    cnt = indptr[rows + 1] - start
+    owner = np.repeat(np.arange(rows.size), cnt)
+    return owner, start[owner] + np.arange(owner.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
     """Subgraph on ``nodes`` with exactly the edges of ``g`` inside the set."""
-    node_arr = np.unique(np.asarray(list(nodes), dtype=np.int64))
+    node_arr = np.asarray(list(nodes))
     if node_arr.size == 0:
         raise ValidationError("empty node set")
+    if node_arr.dtype.kind not in "iu":
+        raise ValidationError(f"node ids must be integers, got dtype {node_arr.dtype}")
     if node_arr.min() < 0 or node_arr.max() >= g.n:
         raise ValidationError("node id out of range")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[node_arr] = True
+    node_arr = np.unique(node_arr.astype(np.int64))
     sub_id = np.full(g.n, -1, dtype=np.int64)
     sub_id[node_arr] = np.arange(node_arr.size)
-    src, dst, w = g.edge_arrays()
-    keep = mask[src] & mask[dst]
-    sub = Graph(node_arr.size, sub_id[src[keep]], sub_id[dst[keep]], w[keep], directed=g.directed)
+    # a member's index in node_arr is its subgraph id
+    owner, pos = csr_rows(g._out_indptr, node_arr)
+    dst = sub_id[g._out_dst[pos]]
+    keep = dst >= 0
+    sub = Graph(node_arr.size, owner[keep], dst[keep], g._out_w[pos[keep]], g.directed)
     return sub, NodeMapping(sub_to_full=node_arr)

@@ -267,15 +267,28 @@ class SampleState:
 
 
 def neighborhood(g, node: int) -> np.ndarray:
-    """Distinct in- and out-neighbors of ``node``, excluding ``node`` itself.
+    """Distinct in- and out-neighbors of ``node`` in ascending order,
+    excluding ``node`` itself.
 
     An undirected graph's in-list equals its out-list, which is sorted and
-    distinct already, so only a directed graph needs the merge.
+    distinct already, so only a directed graph needs the merge: each list is
+    distinct, so after one sort an id repeats at most once, next to itself.
     """
     out_idx, _ = g.out_neighbors(node)
-    if g.directed:
-        out_idx = np.union1d(out_idx, g.in_neighbors(node)[0])
-    return out_idx[out_idx != node]
+    if not g.directed:
+        return out_idx[out_idx != node]
+    both = np.concatenate([out_idx, g.in_neighbors(node)[0]])
+    both.sort()
+    keep = both != node
+    keep[1:] &= both[1:] != both[:-1]
+    return both[keep]
+
+
+def sorted_lookup(sorted_ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``x`` sits in the ascending, distinct ``sorted_ids``:
+    ``(position, found)``; a position is meaningful only where found."""
+    pos = np.searchsorted(sorted_ids, x)
+    return pos, np.searchsorted(sorted_ids, x, side="right") > pos
 
 
 def walk_until_new(g, rng, current, sampled, member_mask, budget):
@@ -326,9 +339,10 @@ def run_criterion_crawl(
 
     RW-init collects ``ceil(rw_init_fraction * m)`` nodes, then the main loop
     pops the leaderboard top (falling back to one random-walk step when it is
-    empty) until ``m`` nodes are sampled. ``offer_candidates(node)`` yields
-    the candidates to score when ``node`` enters the sample; ``on_admit`` runs
-    state bookkeeping before candidates are offered.
+    empty) until ``m`` nodes are sampled. ``offer_candidates(node)`` returns
+    the distinct candidates (an integer array) to score when ``node`` enters
+    the sample; ``on_admit`` runs state bookkeeping before candidates are
+    offered.
     """
     cfg.validate(g.n)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -343,16 +357,17 @@ def run_criterion_crawl(
         tags.append(tag)
         state.leaderboard.discard(node)
         out_idx, out_w = g.out_neighbors(node)
-        np.add.at(state.in_sample_indegree, out_idx, out_w)
+        # an out-list is distinct, so no index repeats in this update
+        state.in_sample_indegree[out_idx] += out_w
         if on_admit is not None:
             on_admit(node)
-        for cand in offer_candidates(node):
-            cand = int(cand)
-            if state.member_mask[cand]:
-                continue
-            if cfg.exploration_p < 1.0 and rng.random() >= cfg.exploration_p:
-                continue
-            counters["scored_candidates"] += 1
+        cands = offer_candidates(node)
+        cands = cands[~state.member_mask[cands]]
+        if cfg.exploration_p < 1.0:
+            # one draw per surviving candidate, in candidate order
+            cands = cands[rng.random(cands.size) < cfg.exploration_p]
+        counters["scored_candidates"] += cands.size
+        for cand in cands.tolist():
             state.leaderboard.offer(cand, score_fn(cand), epoch=state.k)
         if step_callback is not None:
             step_callback(state, node, tag)

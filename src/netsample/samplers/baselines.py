@@ -14,6 +14,7 @@ from .base import (
     SamplerConfig,
     neighborhood,
     pick_seed,
+    sorted_lookup,
     walk_until_new,
 )
 
@@ -142,26 +143,22 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     )
 
 
-def node2vec_step_weights(g, prev: int | None, current: int, p: float, q: float, adj_sets):
+def node2vec_step_weights(g, prev: int | None, current: int, p: float, q: float):
     """Unnormalized transition weights for the second-order walk.
 
     From previous node ``prev`` at ``current``, neighbor x gets
     ``w(current, x) * (1/p if x == prev; 1 if x adjacent to prev; 1/q)``.
-    Adjacency is undirected.
+    Adjacency is undirected: x is adjacent to ``prev`` if it is in either of
+    ``prev``'s sorted neighbor lists.
     """
     out_idx, out_w = g.out_neighbors(current)
     if prev is None or out_idx.size == 0:
         return out_idx, out_w.astype(np.float64)
-    prev_adj = adj_sets(prev)
-    bias = np.empty(out_idx.size, dtype=np.float64)
-    for pos, x in enumerate(out_idx):
-        x = int(x)
-        if x == prev:
-            bias[pos] = 1.0 / p
-        elif x in prev_adj:
-            bias[pos] = 1.0
-        else:
-            bias[pos] = 1.0 / q
+    adjacent = sorted_lookup(g.out_neighbors(prev)[0], out_idx)[1]
+    if g.directed:
+        adjacent |= sorted_lookup(g.in_neighbors(prev)[0], out_idx)[1]
+    bias = np.where(adjacent, 1.0, 1.0 / q)
+    bias[out_idx == prev] = 1.0 / p
     return out_idx, out_w * bias
 
 
@@ -180,15 +177,6 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
     rng = np.random.default_rng(cfg.rng_seed)
     seed = pick_seed(cfg, g, rng)
     m = cfg.target_size
-    adj_cache: dict[int, set] = {}
-
-    def adj_sets(v):
-        s = adj_cache.get(v)
-        if s is None:
-            s = set(int(u) for u in neighborhood(g, v))
-            adj_cache[v] = s
-        return s
-
     nodes = [seed]
     visited = np.zeros(n, dtype=bool)
     visited[seed] = True
@@ -210,7 +198,7 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
             prev = None
             current = nodes[int(rng.integers(len(nodes)))]
             continue
-        idx, weights = node2vec_step_weights(g, prev, current, p, q, adj_sets)
+        idx, weights = node2vec_step_weights(g, prev, current, p, q)
         total = float(weights.sum())
         if total <= 0:
             prev = None

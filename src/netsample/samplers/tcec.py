@@ -41,8 +41,8 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
     btu_sq = 0.0
     if b1_idx.size:
         cols, vals = [], []
-        for s, w_js in zip(b1_idx, b1_w):
-            s_in_idx, s_in_w = g.in_neighbors(int(s))
+        for s, w_js in zip(b1_idx.tolist(), b1_w.tolist()):
+            s_in_idx, s_in_w = g.in_neighbors(s)
             cols.append(s_in_idx)
             vals.append(w_js * s_in_w)
         cols = np.concatenate(cols)
@@ -50,8 +50,14 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
         keep = ~mask[cols] & (cols != j)
         cols, vals = cols[keep], vals[keep]
         if cols.size:
-            uniq, inv = np.unique(cols, return_inverse=True)
-            sums = np.bincount(inv, weights=vals)
+            # a stable sort keeps each outside node's products in gather
+            # order, and bincount adds each bin's terms in that order
+            order = np.argsort(cols, kind="stable")
+            cols = cols[order]
+            new_run = np.empty(cols.size, dtype=bool)
+            new_run[0] = True
+            new_run[1:] = cols[1:] != cols[:-1]
+            sums = np.bincount(np.cumsum(new_run) - 1, weights=vals[order])
             btu_sq = float(sums @ sums)
 
     return (1.0 - alpha) * (b1_sq + btu_sq - b3_sq) + alpha * float(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DanglingCandidateError, ValidationError
-from .base import SampleResult, SamplerConfig, SampleState, run_criterion_crawl
+from .base import SampleResult, SamplerConfig, SampleState, run_criterion_crawl, sorted_lookup
 
 
 def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.ndarray) -> None:
@@ -44,7 +44,8 @@ def update_deltas_on_admit(g, state: SampleState, s: int, dout: np.ndarray) -> N
     No dangling member's delta is stored, so there is none to update.
     """
     in_idx, in_w = g.in_neighbors(s)
-    mem = state.member_mask[in_idx] & (in_idx != s)
+    # a dangling member can reach s by a zero-weight edge; it has no delta
+    mem = state.member_mask[in_idx] & (in_idx != s) & (dout[in_idx] > 0)
     xs = in_idx[mem]
     if xs.size:
         state.delta[xs] -= in_w[mem] / dout[xs]
@@ -73,25 +74,29 @@ def tcpr_score(g, state: SampleState, j: int, gamma: float) -> float:
     b1 = gamma * float(u.sum())
 
     in_idx, in_w = g.in_neighbors(j)
-    outside = ~mask[in_idx] & (in_idx != j) & (dout[in_idx] > 0)
-    b3 = gamma * float(np.sum(in_w[outside] / dout[in_idx[outside]]))
+    in_member = mask[in_idx]
+    in_live = dout[in_idx] > 0
+    outside = ~in_member & (in_idx != j) & in_live
+    b3 = gamma * float((in_w[outside] / dout[in_idx[outside]]).sum())
 
-    # P(s -> j) for member in-neighbors of j (all necessarily non-dangling)
-    msel = mask[in_idx]
-    prob_sj = {int(s): float(w) / float(dout[s]) for s, w in zip(in_idx[msel], in_w[msel])}
-    sum_prob_sj = sum(prob_sj.values())  # dangling members add a constant; dropped
+    # P(s -> j) for non-dangling member in-neighbors of j, ascending by s as
+    # the in-list is; a dangling member reaches j only by zero-weight edges
+    msel = in_member & in_live
+    s_in = in_idx[msel]
+    prob_sj = in_w[msel] / dout[s_in]
+    # Python's sum adds left to right; dangling members add a constant, dropped
+    sum_prob_sj = sum(prob_sj.tolist())
 
     const = (1.0 - gamma) * (n - k - 1) / n
     b1u = 0.0
     if s_nodes.size:
-        corr = np.array(
-            [
-                prob_sj.get(int(s), 0.0) if dout[s] > 0 else 1.0 / n
-                for s in s_nodes
-            ]
-        )
+        # P(s -> j) of each member target s of j: 0 if s is not an
+        # in-neighbor of j, 1/n if s is dangling
+        corr = np.where(dout[s_nodes] > 0, 0.0, 1.0 / n)
+        pos, hit = sorted_lookup(s_in, s_nodes)
+        corr[hit] = prob_sj[pos[hit]]
         delta_excl = member_deltas(g, state, s_nodes) - corr
-        b1u = gamma * float(np.sum(u * (gamma * delta_excl + const)))
+        b1u = gamma * float((u * (gamma * delta_excl + const)).sum())
     b1u -= gamma * (1.0 - gamma) / n * sum_prob_sj
     return b1 + b1u - b3
 
@@ -118,9 +123,8 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         update_deltas_on_admit(g, state, node, dout)
 
     def offer_candidates(node):
-        in_idx, _ = g.in_neighbors(node)
-        cands = np.unique(in_idx)
-        cands = cands[cands != node]
+        in_idx, _ = g.in_neighbors(node)  # sorted and distinct
+        cands = in_idx[in_idx != node]
         ok = ~dangling[cands]
         counters_extra["dangling_skipped"] += int(np.count_nonzero(~ok))
         return cands[ok]

@@ -21,6 +21,16 @@ from netsample.errors import (
     ValidationError,
 )
 from netsample.graph import Graph, NodeMapping
+from netsample.samplers.base import (
+    RESTART_PROB,
+    STEP_BUDGET_FACTOR,
+    SampleResult,
+    SampleState,
+    _refresh_leaderboard,
+    pick_seed,
+    walk_until_new,
+)
+from netsample.samplers.tcpr import init_delta, member_deltas, update_deltas_on_admit
 
 # property tests draw the same examples on every run
 settings.register_profile("netsample", derandomize=True, max_examples=60, deadline=None)
@@ -486,6 +496,251 @@ def reference_save_edge_list(g: Graph, path, mapping=None) -> None:
                 fh.write(f"{int(a)} {int(b)}\n")
             else:
                 fh.write(f"{int(a)} {int(b)} {float(wt)!r}\n")
+
+
+# -- crawl hot-path references ------------------------------------------
+# The per-candidate admit loop, the scorers and the node2vec step as they were
+# before the hot paths became linear passes over sorted lists. They reuse the
+# package's walker, leaderboard and delta bookkeeping, which they do not check.
+
+
+def reference_neighborhood(g: Graph, node: int) -> np.ndarray:
+    """``neighborhood`` by ``np.union1d``; the merge must match it exactly."""
+    out_idx, _ = g.out_neighbors(node)
+    if g.directed:
+        out_idx = np.union1d(out_idx, g.in_neighbors(node)[0])
+    return out_idx[out_idx != node]
+
+
+def reference_tcec_score(g: Graph, state, j: int, alpha: float) -> float:
+    """``tcec_score`` with ``np.unique`` bins; equal to it bit for bit."""
+    mask = state.member_mask
+    out_idx, out_w = g.out_neighbors(j)
+    sel = mask[out_idx]
+    b1_idx, b1_w = out_idx[sel], out_w[sel]
+    b1_sq = float(b1_w @ b1_w)
+    in_idx, in_w = g.in_neighbors(j)
+    outside = ~mask[in_idx] & (in_idx != j)
+    wb3 = in_w[outside]
+    b3_sq = float(wb3 @ wb3)
+    btu_sq = 0.0
+    if b1_idx.size:
+        cols, vals = [], []
+        for s, w_js in zip(b1_idx, b1_w):
+            s_in_idx, s_in_w = g.in_neighbors(int(s))
+            cols.append(s_in_idx)
+            vals.append(w_js * s_in_w)
+        cols = np.concatenate(cols)
+        vals = np.concatenate(vals)
+        keep = ~mask[cols] & (cols != j)
+        cols, vals = cols[keep], vals[keep]
+        if cols.size:
+            _, inv = np.unique(cols, return_inverse=True)
+            sums = np.bincount(inv, weights=vals)
+            btu_sq = float(sums @ sums)
+    return (1.0 - alpha) * (b1_sq + btu_sq - b3_sq) + alpha * float(
+        state.in_sample_indegree[j]
+    )
+
+
+def reference_tcpr_score(g: Graph, state, j: int, gamma: float) -> float:
+    """``tcpr_score`` with a dict of member transition probabilities and a
+    per-target loop. It raises ``ZeroDivisionError`` when a member with zero
+    out-strength reaches ``j`` by a zero-weight edge; elsewhere
+    ``tcpr_score`` must equal it bit for bit."""
+    n = g.n
+    dout = g.out_strength
+    mask = state.member_mask
+    k = state.k
+    out_idx, out_w = g.out_neighbors(j)
+    sel = mask[out_idx]
+    s_nodes, s_w = out_idx[sel], out_w[sel]
+    u = s_w / float(dout[j])
+    b1 = gamma * float(u.sum())
+    in_idx, in_w = g.in_neighbors(j)
+    outside = ~mask[in_idx] & (in_idx != j) & (dout[in_idx] > 0)
+    b3 = gamma * float(np.sum(in_w[outside] / dout[in_idx[outside]]))
+    msel = mask[in_idx]
+    prob_sj = {int(s): float(w) / float(dout[s]) for s, w in zip(in_idx[msel], in_w[msel])}
+    sum_prob_sj = sum(prob_sj.values())
+    const = (1.0 - gamma) * (n - k - 1) / n
+    b1u = 0.0
+    if s_nodes.size:
+        corr = np.array(
+            [prob_sj.get(int(s), 0.0) if dout[s] > 0 else 1.0 / n for s in s_nodes]
+        )
+        delta_excl = member_deltas(g, state, s_nodes) - corr
+        b1u = gamma * float(np.sum(u * (gamma * delta_excl + const)))
+    b1u -= gamma * (1.0 - gamma) / n * sum_prob_sj
+    return b1 + b1u - b3
+
+
+def reference_node2vec_step_weights(g: Graph, prev, current: int, p: float, q: float):
+    """``node2vec_step_weights`` by a per-neighbor loop over a set of
+    ``prev``'s neighbors; equal to it bit for bit."""
+    out_idx, out_w = g.out_neighbors(current)
+    if prev is None or out_idx.size == 0:
+        return out_idx, out_w.astype(np.float64)
+    prev_adj = set(int(u) for u in reference_neighborhood(g, prev))
+    bias = np.empty(out_idx.size, dtype=np.float64)
+    for pos, x in enumerate(out_idx):
+        x = int(x)
+        if x == prev:
+            bias[pos] = 1.0 / p
+        elif x in prev_adj:
+            bias[pos] = 1.0
+        else:
+            bias[pos] = 1.0 / q
+    return out_idx, out_w * bias
+
+
+def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candidates, on_admit=None):
+    """``run_criterion_crawl`` with the per-candidate admit loop: one
+    ``rng.random()`` per non-member candidate and ``np.add.at`` for the
+    in-sample in-degrees."""
+    cfg.validate(g.n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    m = cfg.target_size
+    tags: list[str] = []
+    counters = {"scored_candidates": 0, "fallback_events": 0, "rw_steps": 0}
+    budget = STEP_BUDGET_FACTOR * m
+
+    def admit(node, tag):
+        state.members.append(node)
+        state.member_mask[node] = True
+        tags.append(tag)
+        state.leaderboard.discard(node)
+        out_idx, out_w = g.out_neighbors(node)
+        np.add.at(state.in_sample_indegree, out_idx, out_w)
+        if on_admit is not None:
+            on_admit(node)
+        for cand in offer_candidates(node):
+            cand = int(cand)
+            if state.member_mask[cand]:
+                continue
+            if cfg.exploration_p < 1.0 and rng.random() >= cfg.exploration_p:
+                continue
+            counters["scored_candidates"] += 1
+            state.leaderboard.offer(cand, score_fn(cand), epoch=state.k)
+
+    init_size = min(m, max(1, math.ceil(cfg.rw_init_fraction * m)))
+    current = pick_seed(cfg, g, rng)
+    admit(current, "rw-init")
+    while state.k < init_size:
+        current, used = walk_until_new(g, rng, current, state.members, state.member_mask, budget)
+        counters["rw_steps"] += used
+        if current is None:
+            raise PartialSampleError(
+                f"rw-init exhausted at {state.k}/{m} nodes", state.members, tags, counters
+            )
+        admit(current, "rw-init")
+    while state.k < m:
+        if cfg.rescore_on_pop:
+            _refresh_leaderboard(state, score_fn)
+        node = state.leaderboard.pop_best()
+        if node is not None:
+            admit(node, "criterion")
+            continue
+        counters["fallback_events"] += 1
+        start = state.members[int(rng.integers(state.k))]
+        nxt, used = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
+        counters["rw_steps"] += used
+        if nxt is None:
+            raise PartialSampleError(
+                f"graph exhausted at {state.k}/{m} nodes", state.members, tags, counters
+            )
+        admit(nxt, "fallback")
+    counters["leaderboard_evictions"] = state.leaderboard.evictions
+    return SampleResult(
+        nodes=list(state.members), tags=tags, counters=counters, config=cfg.echo(sampler=sampler_name)
+    )
+
+
+def reference_sample_tcec(g: Graph, cfg):
+    alpha = cfg.resolved_alpha(g.directed)
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity)
+    return reference_criterion_crawl(
+        g,
+        cfg,
+        state,
+        "tcec",
+        lambda j: reference_tcec_score(g, state, j, alpha),
+        lambda node: reference_neighborhood(g, node),
+    )
+
+
+def reference_sample_tcpr(g: Graph, cfg):
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity, with_delta=True)
+    dout = g.out_strength
+    dangling = dout <= 0
+    extra = {"dangling_skipped": 0}
+
+    def on_admit(node):
+        init_delta(g, state, node, dangling, dout)
+        update_deltas_on_admit(g, state, node, dout)
+
+    def offer_candidates(node):
+        cands = np.unique(g.in_neighbors(node)[0])
+        cands = cands[cands != node]
+        ok = ~dangling[cands]
+        extra["dangling_skipped"] += int(np.count_nonzero(~ok))
+        return cands[ok]
+
+    result = reference_criterion_crawl(
+        g,
+        cfg,
+        state,
+        "tcpr",
+        lambda j: reference_tcpr_score(g, state, j, cfg.damping),
+        offer_candidates,
+        on_admit,
+    )
+    result.counters.update(extra)
+    return result
+
+
+def reference_sample_node2vec(g: Graph, cfg):
+    """The node2vec walk over ``reference_node2vec_step_weights``."""
+    cfg.validate(g.n)
+    p, q = cfg.node2vec_p, cfg.node2vec_q
+    rng = np.random.default_rng(cfg.rng_seed)
+    seed = pick_seed(cfg, g, rng)
+    m = cfg.target_size
+    nodes = [seed]
+    visited = np.zeros(g.n, dtype=bool)
+    visited[seed] = True
+    budget = STEP_BUDGET_FACTOR * m
+    steps = 0
+    prev, current = None, seed
+    while len(nodes) < m:
+        if steps >= budget:
+            raise PartialSampleError(
+                f"node2vec walk found {len(nodes)}/{m} nodes within {budget} steps",
+                nodes,
+                ["node2vec"] * len(nodes),
+                {"steps": steps},
+            )
+        steps += 1
+        out_idx, _ = g.out_neighbors(current)
+        if out_idx.size == 0 or rng.random() < RESTART_PROB:
+            prev = None
+            current = nodes[int(rng.integers(len(nodes)))]
+            continue
+        idx, weights = reference_node2vec_step_weights(g, prev, current, p, q)
+        total = float(weights.sum())
+        if total <= 0:
+            prev = None
+            current = nodes[int(rng.integers(len(nodes)))]
+            continue
+        u = rng.random() * total
+        pos = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), idx.size - 1)
+        prev, current = current, int(idx[pos])
+        if not visited[current]:
+            visited[current] = True
+            nodes.append(current)
+    return SampleResult(
+        nodes=nodes, tags=["node2vec"] * len(nodes), counters={"steps": steps}, config=cfg.echo(sampler="node2vec")
+    )
 
 
 @pytest.fixture

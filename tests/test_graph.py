@@ -120,6 +120,12 @@ def test_validation_rejects_bad_edges():
         Graph(graph._MAX_NODES + 1, [], [], [], directed=True)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, "3", True, None])
+def test_graph_rejects_bad_node_count(n):
+    with pytest.raises(ValidationError, match="n must be a non-negative integer"):
+        Graph(n, [], [], [], directed=True)
+
+
 @pytest.mark.parametrize("bad", [(0,), (0, 1, 1.0, 2), (0, "x"), 5])
 def test_from_edges_names_bad_edge(bad):
     with pytest.raises(ValidationError, match=r"^edge 1 "):
@@ -370,6 +376,23 @@ def test_load_edge_list_matches_line_reference(tmp_path_factory, case):
         assert_bitwise_equal(graph_arrays(g), graph_arrays(g_ref))
 
 
+_INT64_IDS = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(
+    st.lists(_INT64_IDS | st.integers(-5, 30), max_size=40)
+    | st.tuples(_INT64_IDS, st.lists(st.integers(0, 25), min_size=1, max_size=40)).map(
+        lambda c: [max(-(2**63), min(2**63 - 1, c[0] + d)) for d in c[1]]
+    )
+)
+def test_dense_ids_equal_unique(ids):
+    ids = np.array(ids, dtype=np.int64)
+    want = np.unique(ids, return_inverse=True)
+    got = graph._dense_ids(ids.copy())
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_load_labels(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\ta\n1\tb\n0\ta\n")
@@ -418,6 +441,11 @@ def test_induced_subgraph_validation(rng):
         induced_subgraph(g, [])
     with pytest.raises(ValidationError):
         induced_subgraph(g, [0, 99])
+    for bad in ([0.5, 1], ["a"], [True], [0, None]):
+        with pytest.raises(ValidationError, match="node ids must be integers"):
+            induced_subgraph(g, bad)
+    sub, mapping = induced_subgraph(g, np.array([3, 1], dtype=np.uint8))
+    assert mapping.sub_to_full.tolist() == [1, 3]
 
 
 def test_node_mapping():
