@@ -8,6 +8,7 @@ two spectral measures agree on orientation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .graph import Graph, csr_rows
+from .samplers.base import is_integer, is_real
 
 # betweenness runs BLOCK_SLOTS // (n + num_edges) sources at a time (at
 # least one), which keeps its per-block key and edge arrays to a few MB;
@@ -50,15 +52,27 @@ class CentralityVector:
                 fh.write(line + "\n")
 
 
+def _require_positive(name: str, value) -> None:
+    if not (is_real(value) and 0 < value < math.inf):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _require_max_iter(value) -> None:
+    if not (is_integer(value) and value >= 1):
+        raise ValidationError(f"max_iter must be an integer >= 1, got {value!r}")
+
+
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> CentralityVector:
     """Leading left eigenvector of the adjacency matrix by power iteration.
 
     Scores are L1-normalized; non-convergence (e.g. on graphs that are not
     strongly connected) is flagged, not fatal.
     """
+    _require_positive("tol", tol)
+    _require_max_iter(max_iter)
     if g.num_edges == 0:
         raise ValidationError("eigenvector centrality needs at least one edge")
-    a_t = g.to_scipy().T.tocsr()
+    a_t = g.to_scipy_transpose()
     n = g.n
     x = np.full(n, 1.0 / n)
     residual = np.inf
@@ -85,15 +99,17 @@ def pagerank(
     The dense "Google" matrix is never materialized; iterates stay on the
     simplex and the result sums to 1.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError("damping must lie in [0, 1)")
+    if not (is_real(gamma) and 0.0 <= gamma < 1.0):
+        raise ValidationError(f"gamma (damping) must lie in [0, 1), got {gamma!r}")
+    _require_positive("tol", tol)
+    _require_max_iter(max_iter)
     n = g.n
     dout = g.out_strength
     dangling = dout <= 0
     inv_dout = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, dout))
-    # row-normalize, then transpose: y = P^T x propagates mass along edges
-    a = g.to_scipy()
-    p_t = sp.csr_matrix(a.multiply(inv_dout[:, None])).T.tocsr()
+    # y = P^T x propagates mass along edges; P^T is the in-CSR with each
+    # weight divided by its source's out-strength
+    p_t = sp.csr_matrix((g._in_w * inv_dout[g._in_src], g._in_src, g._in_indptr), shape=(n, n))
     x = np.full(n, 1.0 / n)
     residual = np.inf
     it = 0
@@ -127,9 +143,11 @@ def betweenness(g: Graph, sources=None) -> CentralityVector:
     sources (the default) the result is exact.
 
     The sources run in blocks (see ``BLOCK_SLOTS`` and
-    ``_block_dependencies``). Every score receives the same float
-    operations in the same order as the one-source-at-a-time queue loop, so
-    the result does not depend on the block size.
+    ``_block_dependencies``): a forward BFS finds each root's shortest-path
+    DAG, and the backward pass accumulates along those same edges, so no
+    in-list is read. Every score receives the same float operations in the
+    same order as the one-source-at-a-time queue loop, so the result does
+    not depend on the block size.
     """
     n = g.n
     if sources is None:
@@ -157,7 +175,10 @@ def _gather(indptr, nbrs, keys, n):
     """CSR neighbours of every key ``j*n + v``, in key order: ``(key index, j*n + u)``."""
     v = keys % n
     owner, pos = csr_rows(indptr, v)
-    return owner, nbrs[pos] + (keys - v)[owner]
+    out = nbrs[pos]
+    del pos
+    out += (keys - v)[owner]
+    return owner, out
 
 
 def _block_dependencies(g: Graph, roots: np.ndarray) -> np.ndarray:
@@ -165,40 +186,46 @@ def _block_dependencies(g: Graph, roots: np.ndarray) -> np.ndarray:
 
     A level-synchronous BFS from all roots at once. A level's out-edges are
     taken in frontier order and a new key is placed at its first discovery,
-    which is the queue order of a single-source BFS, so path counts and
-    dependencies are summed in that loop's order (``np.add.at`` applies its
-    updates in index order). The backward pass walks the levels deepest
-    first, each in reverse discovery order.
+    which is the queue order of a single-source BFS, so path counts are
+    summed in that loop's order (``np.add.at`` applies its updates in index
+    order). The edges that discover the next level are exactly its
+    shortest-path DAG edges; they are kept per level, sorted by the child's
+    discovery rank, descending. The backward pass walks the levels deepest
+    first and adds along those edges, so each parent receives its children's
+    terms in reverse discovery order, as in the queue loop.
     """
     n = g.n
     size = roots.size * n
-    dist = np.full(size, -1, dtype=np.int32)
+    seen = np.zeros(size, dtype=bool)
     sigma = np.zeros(size, dtype=np.float64)
     first = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
     frontier = np.arange(roots.size, dtype=np.int64) * n + roots
-    dist[frontier] = 0
+    seen[frontier] = True
     sigma[frontier] = 1.0
-    levels = [frontier]
+    # per level: (parent, child) in reverse discovery order of the child; the
+    # edges live until the backward pass, so they are stored as int32 where
+    # the keys fit
+    dag = []
+    key_type = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     while True:
         owner, child = _gather(g._out_indptr, g._out_dst, frontier, n)
-        fresh = dist[child] < 0
-        owner, child = owner[fresh], child[fresh]
+        fresh = ~seen[child]
+        parent, child = frontier[owner[fresh]], child[fresh]
+        del owner, fresh
         if not child.size:
             break
-        np.add.at(sigma, child, sigma[frontier[owner]])
+        np.add.at(sigma, child, sigma[parent])
         pos = np.arange(child.size, dtype=np.int64)
         np.minimum.at(first, child, pos)
-        frontier = child[first[child] == pos]
-        dist[frontier] = len(levels)
-        levels.append(frontier)
+        rank = first[child]
+        frontier = child[rank == pos]
+        seen[frontier] = True
+        order = np.argsort(-rank)
+        dag.append((parent[order].astype(key_type), child[order].astype(key_type)))
     dep = np.zeros(size, dtype=np.float64)
-    for level in range(len(levels) - 1, 0, -1):
-        keys = levels[level][::-1]
-        coeff = (1.0 + dep[keys]) / sigma[keys]
-        owner, parent = _gather(g._in_indptr, g._in_src, keys, n)
-        pred = dist[parent] == level - 1
-        owner, parent = owner[pred], parent[pred]
-        np.add.at(dep, parent, sigma[parent] * coeff[owner])
+    while dag:
+        parent, child = dag.pop()
+        np.add.at(dep, parent, sigma[parent] * ((1.0 + dep[child]) / sigma[child]))
     return dep
 
 
@@ -209,11 +236,12 @@ def springrank(g: Graph, reg: float = 1.0, tol: float = 1e-10, max_iter: int | N
     conjugate gradient; the operator is symmetric positive definite for
     ``reg > 0``. Scores are not normalized (only ranks matter downstream).
     """
-    if reg <= 0:
-        raise ValidationError("regularization must be positive")
+    _require_positive("reg", reg)
+    _require_positive("tol", tol)
+    if max_iter is not None:
+        _require_max_iter(max_iter)
     n = g.n
-    a = g.to_scipy()
-    w = a + a.T
+    w = g.to_scipy() + g.to_scipy_transpose()
     op = reg * sp.identity(n, format="csr") + sp.diags(g.out_strength + g.in_strength) - w
     rhs = g.out_strength - g.in_strength
     if not np.any(rhs):

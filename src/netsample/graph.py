@@ -159,6 +159,16 @@ class Graph:
             (self._out_w, self._out_dst, self._out_indptr), shape=(self.n, self.n)
         )
 
+    def to_scipy_transpose(self):
+        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the stored in-CSR.
+
+        No transpose is built and the weights are shared; scipy may narrow the
+        index arrays.
+        """
+        return sp.csr_matrix(
+            (self._in_w, self._in_src, self._in_indptr), shape=(self.n, self.n)
+        )
+
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, edges={self.num_edges}, {kind})"
@@ -380,7 +390,11 @@ def csr_rows(indptr, rows):
     start = indptr[rows]
     cnt = indptr[rows + 1] - start
     owner = np.repeat(np.arange(rows.size), cnt)
-    return owner, start[owner] + np.arange(owner.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    # in place, so that at most three position-sized arrays are alive
+    pos = np.arange(owner.size)
+    pos -= np.repeat(np.cumsum(cnt) - cnt, cnt)
+    pos += start[owner]
+    return owner, pos
 
 
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:

@@ -184,6 +184,7 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
     steps = 0
     prev: int | None = None
     current = seed
+    out_degree = np.diff(g._out_indptr)
     while len(nodes) < m:
         if steps >= budget:
             raise PartialSampleError(
@@ -193,8 +194,7 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
                 {"steps": steps},
             )
         steps += 1
-        out_idx, _ = g.out_neighbors(current)
-        if out_idx.size == 0 or rng.random() < RESTART_PROB:
+        if out_degree[current] == 0 or rng.random() < RESTART_PROB:
             prev = None
             current = nodes[int(rng.integers(len(nodes)))]
             continue

@@ -39,7 +39,14 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
     b3_sq = float(wb3 @ wb3)
 
     btu_sq = 0.0
-    if b1_idx.size:
+    if b1_idx.size == 1:
+        # one target: its in-list is sorted and distinct, so every outside
+        # node's bin holds a single product
+        s_in_idx, s_in_w = g.in_neighbors(int(b1_idx[0]))
+        keep = ~mask[s_in_idx] & (s_in_idx != j)
+        sums = float(b1_w[0]) * s_in_w[keep]
+        btu_sq = float(sums @ sums)
+    elif b1_idx.size:
         cols, vals = [], []
         for s, w_js in zip(b1_idx.tolist(), b1_w.tolist()):
             s_in_idx, s_in_w = g.in_neighbors(s)

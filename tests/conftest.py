@@ -11,6 +11,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -379,6 +381,67 @@ def reference_betweenness(g: Graph, sources=None) -> np.ndarray:
             if w != s:
                 bc[w] += dep[w]
     return bc
+
+
+# -- spectral centrality references --------------------------------------
+# The operators as they were built before the centralities read the stored
+# in-CSR: a transposed copy of the out-CSR, a row-scaled copy, and A + A^T
+# with A^T converted from CSC. Each runs the package's iteration unchanged.
+
+
+def reference_eigenvector_centrality(g: Graph, tol=1e-10, max_iter=1000):
+    """Power iteration on ``to_scipy().T.tocsr()``."""
+    if g.num_edges == 0:
+        raise ValidationError("eigenvector centrality needs at least one edge")
+    a_t = g.to_scipy().T.tocsr()
+    n = g.n
+    x = np.full(n, 1.0 / n)
+    residual = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        y = a_t @ x
+        norm = y.sum()
+        if norm <= 0:
+            return np.zeros(n), it, np.inf, False
+        y /= norm
+        residual = float(np.abs(y - x).sum())
+        x = y
+        if residual < tol:
+            return x, it, residual, True
+    return x, it, residual, False
+
+
+def reference_pagerank(g: Graph, gamma=0.85, tol=1e-12, max_iter=1000):
+    """PageRank on ``multiply`` by the inverse out-strengths, then ``.T.tocsr()``."""
+    n = g.n
+    dout = g.out_strength
+    dangling = dout <= 0
+    inv_dout = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, dout))
+    a = g.to_scipy()
+    p_t = sp.csr_matrix(a.multiply(inv_dout[:, None])).T.tocsr()
+    x = np.full(n, 1.0 / n)
+    residual = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        y = gamma * (p_t @ x + x[dangling].sum() / n) + (1.0 - gamma) / n
+        residual = float(np.abs(y - x).sum())
+        x = y
+        if residual < tol:
+            break
+    return x / x.sum(), it, residual, residual < tol
+
+
+def reference_springrank(g: Graph, reg=1.0, tol=1e-10, max_iter=None):
+    """SpringRank on ``a + a.T``, with ``a.T`` in CSC."""
+    n = g.n
+    a = g.to_scipy()
+    w = a + a.T
+    op = reg * sp.identity(n, format="csr") + sp.diags(g.out_strength + g.in_strength) - w
+    rhs = g.out_strength - g.in_strength
+    if not np.any(rhs):
+        return np.zeros(n), 0, 0.0, True
+    s, info = spla.cg(op, rhs, rtol=tol, atol=tol, maxiter=max_iter)
+    return s, 0, float(np.linalg.norm(op @ s - rhs)), info == 0
 
 
 # -- graph build and edge-list references -------------------------------

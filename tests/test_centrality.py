@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from netsample.centrality import (
@@ -17,7 +19,16 @@ from netsample.errors import ValidationError
 from netsample.graph import Graph
 from netsample.synth import SbmSpec, generate_sbm
 
-from conftest import brute_betweenness, dense_adjacency, random_digraph, reference_betweenness
+from conftest import (
+    brute_betweenness,
+    dense_adjacency,
+    random_digraph,
+    reference_betweenness,
+    reference_eigenvector_centrality,
+    reference_pagerank,
+    reference_springrank,
+    small_graphs,
+)
 
 
 def strongly_connected_digraph(n, p, rng):
@@ -173,6 +184,21 @@ def test_betweenness_bitwise_across_source_blocks():
     assert bitwise_equal(got, reference_betweenness(g, sources))
 
 
+def test_betweenness_backward_pass_follows_discovery_order_not_id_order():
+    # From root 0, parents 3 and 4 find children 6 (via 3), then 5 and 7 (via
+    # 4): node 4's children are discovered in the order 6, 5, 7. Their terms
+    # in dep[4] are 1/3 for 6 (three shortest paths) and 1 for 5 and 7. The
+    # queue loop adds them in reverse discovery order, (1 + 1) + 1/3, which
+    # differs in the last bit from the child-id order (1 + 1/3) + 1 and from
+    # the discovery order (1/3 + 1) + 1.
+    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 6), (4, 5), (4, 6), (4, 7)]
+    g = Graph.from_edges(8, edges, directed=True)
+    want = (1.0 + 1.0) + 1.0 / 3.0
+    assert want != (1.0 + 1.0 / 3.0) + 1.0
+    assert betweenness(g, sources=[0]).scores[4] == want
+    assert bitwise_equal(betweenness(g).scores, reference_betweenness(g))
+
+
 def test_betweenness_rejects_bad_sources():
     g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
     for bad in (-1, 3):
@@ -220,3 +246,96 @@ def test_centrality_vector_csv(tmp_path):
     path = tmp_path / "scores.csv"
     vec.save_csv(path)
     assert path.read_text().splitlines() == ["node_id,score", "0,0.5", "1,0.25"]
+
+
+# -- operators read from the stored CSRs, against the old builds ------------
+
+
+def test_to_scipy_transpose_wraps_the_in_csr(rng):
+    g = random_digraph(30, 0.2, rng, weighted=True)
+    a_t = g.to_scipy_transpose()
+    want = g.to_scipy().T.tocsr()
+    assert np.shares_memory(a_t.data, g._in_w)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a_t, name), getattr(want, name))
+
+
+def _outcome(fn, g):
+    """Scores and metadata as bytes, or the exception a call raises."""
+    try:
+        out = fn(g)
+    except ValidationError as exc:
+        return "error", str(exc)
+    if isinstance(out, CentralityVector):
+        out = (out.scores, out.iterations, out.residual, out.converged)
+    scores, iterations, residual, converged = out
+    return scores.tobytes(), iterations, np.float64(residual).tobytes(), bool(converged)
+
+
+SPECTRAL_REFERENCES = [
+    (eigenvector_centrality, reference_eigenvector_centrality),
+    (pagerank, reference_pagerank),
+    (springrank, reference_springrank),
+]
+
+
+@given(g=small_graphs(weighted=True))
+@example(g=Graph.from_edges(1, [], directed=True))
+@example(g=Graph.from_edges(1, [(0, 0, 2.5)], directed=True))
+@example(g=Graph.from_edges(1, [(0, 0, 0.0)], directed=False))
+def test_spectral_centralities_bitwise_equal_old_operator_builds(g):
+    for fn, reference in SPECTRAL_REFERENCES:
+        assert _outcome(fn, g) == _outcome(reference, g), fn.__name__
+
+
+def test_spectral_centralities_bitwise_on_larger_weighted_graphs(rng):
+    # rows with many entries of spread magnitudes, zero weights and sinks
+    for trial in range(12):
+        directed = trial % 2 == 0
+        n = int(rng.integers(50, 200))
+        m = int(rng.integers(2 * n, 6 * n))
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        w = 10.0 ** rng.uniform(-6, 6, m) * (rng.random(m) > 0.1)
+        keep = ~np.isin(src, rng.choice(n, n // 10, replace=False)) if directed else slice(None)
+        g = Graph.from_arrays(n, src[keep], dst[keep], w[keep], directed=directed)
+        for fn, reference in SPECTRAL_REFERENCES:
+            assert _outcome(fn, g) == _outcome(reference, g), (trial, fn.__name__)
+
+
+# -- parameter validation -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs, name",
+    [
+        (springrank, {"reg": math.nan}, "reg"),
+        (springrank, {"reg": math.inf}, "reg"),
+        (springrank, {"reg": None}, "reg"),
+        (springrank, {"tol": math.nan}, "tol"),
+        (springrank, {"max_iter": 0}, "max_iter"),
+        (springrank, {"max_iter": 2.5}, "max_iter"),
+        (pagerank, {"gamma": None}, "gamma"),
+        (pagerank, {"gamma": math.nan}, "gamma"),
+        (pagerank, {"tol": math.nan}, "tol"),
+        (pagerank, {"tol": -1e-9}, "tol"),
+        (pagerank, {"max_iter": 0}, "max_iter"),
+        (pagerank, {"max_iter": -3}, "max_iter"),
+        (eigenvector_centrality, {"max_iter": 2.5}, "max_iter"),
+        (eigenvector_centrality, {"max_iter": 0}, "max_iter"),
+        (eigenvector_centrality, {"max_iter": -3}, "max_iter"),
+        (eigenvector_centrality, {"max_iter": True}, "max_iter"),
+        (eigenvector_centrality, {"tol": math.nan}, "tol"),
+        (eigenvector_centrality, {"tol": "1e-9"}, "tol"),
+    ],
+)
+def test_centrality_parameters_are_validated(fn, kwargs, name):
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
+    with pytest.raises(ValidationError, match=f"^{name}"):
+        fn(g, **kwargs)
+
+
+def test_centrality_parameters_accept_numpy_numbers():
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
+    assert eigenvector_centrality(g, tol=np.float64(1e-10), max_iter=np.int64(50)).converged
+    assert pagerank(g, gamma=np.float32(0.5), max_iter=np.int32(100)).converged
+    assert springrank(g, reg=np.float64(2.0), max_iter=np.int64(10)).converged

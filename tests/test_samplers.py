@@ -495,6 +495,36 @@ def test_tcec_score_bitwise_on_dense_weighted_graphs(rng):
                 assert _bits(tcec_score(g, state, j, 0.5)) == _bits(want)
 
 
+def test_tcec_score_bitwise_with_one_in_sample_target(rng):
+    # every in-neighbor j of a member s has s as its only in-sample target
+    # when s's other in-neighbors stay outside, so the one-target path runs
+    reached = 0
+    for directed in (True, False):
+        g = (random_digraph if directed else random_undirected)(50, 0.3, rng, weighted=True)
+        src, dst, w = g.edge_arrays()
+        g = Graph(50, src, dst, w * 10.0 ** rng.uniform(-8, 8, w.size), directed=directed)
+        for s in range(0, 50, 5):
+            state = _state_holding(g, [s], with_delta=False)
+            for j in g.in_neighbors(s)[0].tolist():
+                if j == s:
+                    continue
+                want = reference_tcec_score(g, state, j, 0.5)
+                assert _bits(tcec_score(g, state, j, 0.5)) == _bits(want)
+                reached += 1
+    assert reached > 200
+
+
+def test_node2vec_reads_the_current_out_list_once_per_step(rng, monkeypatch):
+    g = random_undirected(60, 0.1, rng)
+    calls = []
+    out_neighbors = g.out_neighbors
+    monkeypatch.setattr(g, "out_neighbors", lambda i: calls.append(i) or out_neighbors(i))
+    r = sample_node2vec_walk(g, SamplerConfig(target_size=40, rng_seed=1))
+    # one read of the current node's list per step, plus one of the previous
+    # node's list on each second-order step
+    assert len(calls) < 2 * r.counters["steps"]
+
+
 def _sample_outcome(fn, g, cfg):
     try:
         r = fn(g, cfg)
