@@ -104,6 +104,8 @@ def pagerank(
     _require_positive("tol", tol)
     _require_max_iter(max_iter)
     n = g.n
+    if n == 0:
+        raise ValidationError("pagerank needs at least one node")
     dout = g.out_strength
     dangling = dout <= 0
     inv_dout = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, dout))

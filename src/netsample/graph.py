@@ -223,6 +223,7 @@ _PAIR = np.dtype([("src", np.int64), ("dst", np.int64)])
 _TRIPLE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 _INT64 = range(-(2**63), 2**63)
 _WRITE_BLOCK = 1 << 16
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # an id with k digits is < 10**k
 
 
 def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
@@ -337,7 +338,7 @@ def _scan_lines(path):
 
 
 def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
-    """Write the graph back out in the loader's format.
+    """Write the graph back out in the loader's format, with ``\\n`` line ends.
 
     Undirected graphs emit each edge once (the ``src <= dst`` copy).
     """
@@ -346,15 +347,63 @@ def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
         keep = src <= dst
         src, dst, w = src[keep], dst[keep], w[keep]
     if mapping is not None:
+        ids = np.asarray(mapping.sub_to_full)
+        if ids.dtype.kind not in "iu" or ids.shape != (g.n,):
+            raise ValidationError(
+                f"mapping must hold {g.n} integer ids, got a {ids.dtype} array of shape {ids.shape}"
+            )
         src = mapping.to_full(src)
         dst = mapping.to_full(dst)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         # format a block of rows per write, so memory stays flat in the edge count
         for lo in range(0, src.size, _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
-            rows = zip(src[block].tolist(), dst[block].tolist(), w[block].tolist())
-            lines = [f"{a} {b}\n" if wt == 1.0 else f"{a} {b} {wt!r}\n" for a, b, wt in rows]
-            fh.write("".join(lines))
+            fh.write(_format_rows(src[block], dst[block], w[block]))
+
+
+def _format_rows(src, dst, w) -> bytes:
+    """The lines ``f"{a} {b}\\n"``, or ``f"{a} {b} {w!r}\\n"`` where ``w != 1.0``.
+
+    Each row is laid out in a ``uint8`` matrix: the digits of ``a``, a space,
+    the digits of ``b``, the weight text and a newline. Zero bytes pad each
+    field, so dropping them leaves the text.
+    """
+    k = src.size
+    cols = [_decimal(src), np.full((k, 1), ord(" "), np.uint8), _decimal(dst)]
+    odd = np.flatnonzero(w != 1.0)
+    if odd.size:
+        # repr is the shortest text that reads back as the same float
+        text = np.array([repr(x) for x in w[odd].tolist()], dtype="S")
+        weight = np.zeros((k, 1 + text.itemsize), dtype=np.uint8)
+        weight[odd, 0] = ord(" ")
+        weight[odd, 1:] = text.view(np.uint8).reshape(odd.size, -1)
+        cols.append(weight)
+    cols.append(np.full((k, 1), ord("\n"), np.uint8))
+    rows = np.hstack(cols)
+    return rows[rows != 0].tobytes()
+
+
+def _decimal(ids) -> np.ndarray:
+    """Non-empty integer ``ids`` as right-aligned ASCII decimal, one per row of
+    a ``uint8`` matrix, with zero bytes left of each number."""
+    neg = ids < 0
+    # the magnitude by two's complement in uint64, exact for -2**63 as well
+    mag = ids.astype(np.int64).view(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    rows = np.flatnonzero(neg)
+    # a minus sign goes just left of the leading digit
+    sign_col = -2 - np.searchsorted(_POW10, mag[rows], side="right")
+    top = len(str(mag.max()))
+    out = np.zeros((ids.size, top + (rows.size > 0)), dtype=np.uint8)
+    for p in range(1, top + 1):
+        q = mag // 10
+        digit = mag - q * 10 + ord("0")
+        if p > 1:
+            digit *= mag != 0  # a zero byte left of the leading digit
+        out[:, -p] = digit
+        mag = q
+    out[rows, sign_col] = ord("-")
+    return out
 
 
 def load_labels(path) -> LabeledPartition:

@@ -130,7 +130,7 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, LabeledPartition]:
     dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
     g = Graph.from_arrays(n, src, dst, np.ones(src.size), directed=spec.directed)
     blocks = np.repeat(np.arange(nblocks), spec.block_sizes)
-    partition = LabeledPartition({i: int(b) for i, b in enumerate(blocks)})
+    partition = LabeledPartition(dict(enumerate(blocks.tolist())))
     return g, partition
 
 

@@ -138,6 +138,19 @@ def test_centrality_exact_betweenness_limit(tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
 
 
+def test_centrality_pagerank_on_empty_graph_exits_with_message(tmp_path):
+    edges = tmp_path / "empty.txt"
+    edges.write_text("# no edges\n")
+    r = CliRunner().invoke(
+        cli,
+        ["centrality", "--edge-list", str(edges), "--measure", "pagerank",
+         "--output", str(tmp_path / "pr.csv")],
+    )
+    assert r.exit_code == 1
+    assert "pagerank needs at least one node" in r.output
+    assert "Traceback" not in r.output
+    assert not (tmp_path / "pr.csv").exists()
+
 
 def test_centrality_rejects_non_positive_pivots(tmp_path):
     edges = write_edge_list(tmp_path)

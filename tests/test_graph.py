@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,10 +205,31 @@ def test_undirected_save_writes_each_edge_once(tmp_path):
     assert np.array_equal(dense_adjacency(g2), dense_adjacency(g))
 
 
-@pytest.mark.parametrize("kind", ["weighted", "unit", "undirected"])
-@pytest.mark.parametrize("block", [7, graph._WRITE_BLOCK])
-def test_save_edge_list_bytes_match_reference(tmp_path, rng, monkeypatch, kind, block):
-    monkeypatch.setattr(graph, "_WRITE_BLOCK", block)
+def writer_case(kind, block, rng):
+    """A graph for ``test_save_edge_list_bytes_match_reference`` and the id
+    mappings to write it with."""
+    if kind == "extreme_ids":
+        # 0, both int64 ends and ids of every digit count from 1 to 19, both signs
+        mags = [10**k for k in range(19)] + [10**k - 1 for k in range(2, 19)]
+        ids = np.unique(np.array([0, -(2**63), 2**63 - 1] + mags + [-m for m in mags]))
+        src = np.arange(ids.size)
+        g = Graph.from_arrays(ids.size, src, rng.permutation(src), np.ones(ids.size), True)
+        return g, [NodeMapping(sub_to_full=ids)]
+    if kind == "edge_weights":
+        # the build stores -0.0 as 0.0
+        w = [-0.0, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]
+        g = random_digraph(50, 0.1, rng)
+        src, dst, _ = g.edge_arrays()
+        return Graph.from_arrays(g.n, src, dst, rng.choice(w, src.size), True), [None]
+    if kind == "no_edges":
+        return Graph(5, [], [], [], True), [None, NodeMapping(sub_to_full=np.arange(5) - 2)]
+    if kind == "block_multiple":
+        n = 1000
+        pairs = rng.choice(n * n, 2 * block, replace=False)
+        w = rng.choice([1.0, 0.5], pairs.size)
+        g = Graph.from_arrays(n, pairs // n, pairs % n, w, True)
+        assert g.num_edges == 2 * block
+        return g, [None]
     if kind == "undirected":
         g = random_undirected(50, 0.1, rng, weighted=True)
     else:
@@ -217,10 +239,53 @@ def test_save_edge_list_bytes_match_reference(tmp_path, rng, monkeypatch, kind, 
         w = rng.choice([1.0, 0.1, 1 / 3, 2.5, 1e-300, 7.0], src.size)
         g = Graph.from_arrays(g.n, src, dst, w, directed=g.directed)
     ids = np.sort(rng.choice(10**12, g.n, replace=False))
-    for mapping in (None, NodeMapping(sub_to_full=ids)):
+    return g, [None, NodeMapping(sub_to_full=ids)]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["weighted", "unit", "undirected", "extreme_ids", "edge_weights", "no_edges", "block_multiple"],
+)
+@pytest.mark.parametrize("block", [7, graph._WRITE_BLOCK])
+def test_save_edge_list_bytes_match_reference(tmp_path, rng, monkeypatch, kind, block):
+    monkeypatch.setattr(graph, "_WRITE_BLOCK", block)
+    g, mappings = writer_case(kind, block, rng)
+    for mapping in mappings:
         save_edge_list(g, tmp_path / "new.txt", mapping)
         reference_save_edge_list(g, tmp_path / "ref.txt", mapping)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_save_edge_list_rejects_a_mapping_that_does_not_fit(tmp_path):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
+    for ids in (np.array([5, 6]), np.array([1.5, 2.5, 3.5])):
+        with pytest.raises(ValidationError, match="mapping must hold 3 integer ids"):
+            save_edge_list(g, tmp_path / "g.txt", NodeMapping(sub_to_full=ids))
+    assert not (tmp_path / "g.txt").exists()
+
+
+def test_save_edge_list_memory_is_flat_in_the_edge_count(tmp_path, monkeypatch):
+    block = 4096
+    monkeypatch.setattr(graph, "_WRITE_BLOCK", block)
+    n = 20_000
+    src = np.repeat(np.arange(n), 10)
+    dst = (src * 7919 + np.tile(np.arange(10), n) * 104_729) % n
+    g = Graph.from_arrays(n, src, dst, np.where(src % 3 == 0, 0.5, 1.0), True)
+    assert g.num_edges > 190_000
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    arrays = traced_peak(g.edge_arrays)
+    save = traced_peak(lambda: save_edge_list(g, tmp_path / "g.txt"))
+    # a block's buffers are a few times block * 8 bytes; one array over all
+    # edges (8 * num_edges) would exceed the margin by far
+    assert save - arrays < 16 * block * 8, (save, arrays)
 
 
 def test_parse_error_carries_location(tmp_path):
