@@ -15,11 +15,12 @@ from .centrality import MEASURES, betweenness, pivot_sources
 from .errors import NetsampleError, PartialSampleError
 from .experiments import (
     EXACT_BETWEENNESS_LIMIT,
+    RAW_HEADER,
+    SUMMARY_HEADER,
     ExperimentSpec,
     merge_results,
     run_experiment,
-    write_raw_csv,
-    write_summary_csv,
+    write_csv,
 )
 from .graph import load_edge_list
 from .samplers import SAMPLERS, SamplerConfig
@@ -191,8 +192,8 @@ def report(results_dir, output_dir):
     rows, summary = merge_results(results_dir)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_raw_csv(out / "merged_raw.csv", rows)
-    write_summary_csv(out / "merged_summary.csv", summary)
+    write_csv(out / "merged_raw.csv", RAW_HEADER, rows)
+    write_csv(out / "merged_summary.csv", SUMMARY_HEADER, summary)
     meta = {
         "rows": len(rows),
         "cells": len(summary),

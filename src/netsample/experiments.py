@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -199,21 +200,17 @@ def _pick_seed_node(
     rng: np.random.Generator,
     region=None,
 ) -> int:
-    if region is not None:
-        pool = [v for v, lab in partition.assignments.items() if lab == region]
-        if not pool:
-            raise ValidationError(f"seed region {region!r} absent from labels")
-        return int(sorted(pool)[int(rng.integers(len(pool)))])
-    if spec.seed_policy == "smallest_block":
+    if region is None and spec.seed_policy == "smallest_block":
         if partition is None:
             raise ValidationError("smallest_block seed policy needs labels")
-        sizes: dict = {}
-        for lab in partition.assignments.values():
-            sizes[lab] = sizes.get(lab, 0) + 1
-        smallest = min(sorted(sizes, key=str), key=lambda lab: sizes[lab])
-        pool = sorted(v for v, lab in partition.assignments.items() if lab == smallest)
-        return int(pool[int(rng.integers(len(pool)))])
-    return int(rng.integers(g.n))
+        sizes = Counter(partition.assignments.values())
+        region = min(sorted(sizes, key=str), key=lambda lab: sizes[lab])
+    if region is None:
+        return int(rng.integers(g.n))
+    pool = sorted(v for v, lab in partition.assignments.items() if lab == region)
+    if not pool:
+        raise ValidationError(f"seed region {region!r} absent from labels")
+    return int(pool[int(rng.integers(len(pool)))])
 
 
 def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> SamplerConfig:
@@ -337,8 +334,8 @@ class RunResult:
     def save(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_raw_csv(out / "raw.csv", self.rows)
-        write_summary_csv(out / "summary.csv", self.summary_rows())
+        write_csv(out / "raw.csv", RAW_HEADER, self.rows)
+        write_csv(out / "summary.csv", SUMMARY_HEADER, self.summary_rows())
         with open(out / "resolved_config.json", "w", encoding="utf-8") as fh:
             json.dump(self.resolved_config, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -352,20 +349,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_raw_csv(path, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` columns of each row dict, empty for ``None``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RAW_HEADER)
+        writer.writerow(header)
         for r in rows:
-            writer.writerow([_fmt(r[c]) for c in RAW_HEADER])
-
-
-def write_summary_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for r in rows:
-            writer.writerow([_fmt(r[c]) for c in SUMMARY_HEADER])
+            writer.writerow([_fmt(r[c]) for c in header])
 
 
 def aggregate_rows(rows) -> list:

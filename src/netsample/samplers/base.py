@@ -291,24 +291,37 @@ def sorted_lookup(sorted_ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np
     return pos, np.searchsorted(sorted_ids, x, side="right") > pos
 
 
-def walk_until_new(g, rng, current, sampled, member_mask, budget):
-    """Advance a uniform random walk until it reaches an unsampled node.
+def uniform_step(g, rng, prev, current):
+    """The uniform random walk's step: a uniformly chosen out-neighbor."""
+    out_idx, _ = g.out_neighbors(current)
+    return int(out_idx[int(rng.integers(out_idx.size))])
 
-    Restarts at a uniformly chosen already-sampled node on sinks or with
-    probability ``RESTART_PROB`` per step. Returns ``(node, steps_used)`` or
-    ``(None, steps_used)`` when the budget runs out.
+
+def walk_until_new(g, rng, current, sampled, member_mask, budget, step=uniform_step, prev=None):
+    """Advance a walk until it reaches an unsampled node.
+
+    Each step from a node with out-edges first draws a restart with
+    probability ``RESTART_PROB``, then asks ``step(g, rng, prev, current)``
+    for the next node; ``None`` forces a restart. A sink restarts with no
+    draw. A restart jumps to a uniformly chosen already-sampled node and
+    forgets ``prev``. Returns ``(node, steps_used, prev)``, with ``prev`` the
+    node the walk left to reach ``node``, or ``(None, steps_used, prev)``
+    when the budget runs out.
     """
+    out_indptr = g._out_indptr
     steps = 0
     while steps < budget:
         steps += 1
-        out_idx, _ = g.out_neighbors(current)
-        if out_idx.size == 0 or rng.random() < RESTART_PROB:
-            current = sampled[int(rng.integers(len(sampled)))]
+        nxt = None
+        if out_indptr[current + 1] > out_indptr[current] and rng.random() >= RESTART_PROB:
+            nxt = step(g, rng, prev, current)
+        if nxt is None:
+            prev, current = None, sampled[int(rng.integers(len(sampled)))]
             continue
-        current = int(out_idx[int(rng.integers(out_idx.size))])
+        prev, current = current, nxt
         if not member_mask[current]:
-            return current, steps
-    return None, steps
+            return current, steps, prev
+    return None, steps, prev
 
 
 def pick_seed(cfg: SamplerConfig, g, rng) -> int:
@@ -372,17 +385,22 @@ def run_criterion_crawl(
         if step_callback is not None:
             step_callback(state, node, tag)
 
+    def walk_from(start: int, exhausted: str) -> int:
+        """Walk to an unsampled node; raise once the step budget is spent."""
+        node, used, _ = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
+        counters["rw_steps"] += used
+        if node is None:
+            raise PartialSampleError(
+                f"{exhausted} at {state.k}/{m} nodes", state.members, tags, counters
+            )
+        return node
+
     # phase 1: random-walk initialization
     init_size = min(m, max(1, math.ceil(cfg.rw_init_fraction * m)))
     current = pick_seed(cfg, g, rng)
     admit(current, "rw-init")
     while state.k < init_size:
-        current, used = walk_until_new(g, rng, current, state.members, state.member_mask, budget)
-        counters["rw_steps"] += used
-        if current is None:
-            raise PartialSampleError(
-                f"rw-init exhausted at {state.k}/{m} nodes", state.members, tags, counters
-            )
+        current = walk_from(current, "rw-init exhausted")
         admit(current, "rw-init")
 
     # phase 2: criterion-driven growth
@@ -395,13 +413,7 @@ def run_criterion_crawl(
             continue
         counters["fallback_events"] += 1
         start = state.members[int(rng.integers(state.k))]
-        nxt, used = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
-        counters["rw_steps"] += used
-        if nxt is None:
-            raise PartialSampleError(
-                f"graph exhausted at {state.k}/{m} nodes", state.members, tags, counters
-            )
-        admit(nxt, "fallback")
+        admit(walk_from(start, "graph exhausted"), "fallback")
 
     counters["leaderboard_evictions"] = state.leaderboard.evictions
     return SampleResult(

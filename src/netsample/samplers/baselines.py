@@ -8,13 +8,13 @@ import numpy as np
 
 from ..errors import PartialSampleError
 from .base import (
-    RESTART_PROB,
     STEP_BUDGET_FACTOR,
     SampleResult,
     SamplerConfig,
     neighborhood,
     pick_seed,
     sorted_lookup,
+    uniform_step,
     walk_until_new,
 )
 
@@ -33,40 +33,48 @@ def sample_random_node(g, cfg: SamplerConfig) -> SampleResult:
     )
 
 
+def _walk_sample(g, cfg: SamplerConfig, name: str, what: str, step) -> SampleResult:
+    """Collect the first ``target_size`` distinct nodes a walk visits.
+
+    The walk takes ``step`` (see ``walk_until_new``) and goes on from each
+    new node with the node before it as ``prev``.
+    """
+    cfg.validate(g.n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    current = pick_seed(cfg, g, rng)
+    m = cfg.target_size
+    nodes = [current]
+    visited = np.zeros(g.n, dtype=bool)
+    visited[current] = True
+    budget = STEP_BUDGET_FACTOR * m
+    steps = 0
+    prev = None
+    while len(nodes) < m:
+        current, used, prev = walk_until_new(
+            g, rng, current, nodes, visited, budget - steps, step, prev
+        )
+        steps += used
+        if current is None:
+            raise PartialSampleError(
+                f"{what} found {len(nodes)}/{m} nodes within {budget} steps",
+                nodes,
+                [name] * len(nodes),
+                {"steps": steps},
+            )
+        visited[current] = True
+        nodes.append(current)
+    return SampleResult(
+        nodes=nodes, tags=[name] * m, counters={"steps": steps}, config=cfg.echo(sampler=name)
+    )
+
+
 def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
     """Uniform random walk collecting newly visited nodes.
 
     On a sink, or with probability 0.15 per step, the walker restarts at a
     uniformly chosen already-sampled node (see ``walk_until_new``).
     """
-    n = g.n
-    cfg.validate(n)
-    rng = np.random.default_rng(cfg.rng_seed)
-    seed = pick_seed(cfg, g, rng)
-    m = cfg.target_size
-    nodes = [seed]
-    visited = np.zeros(n, dtype=bool)
-    visited[seed] = True
-    budget = STEP_BUDGET_FACTOR * m
-    steps = 0
-    while len(nodes) < m:
-        current, used = walk_until_new(g, rng, nodes[-1], nodes, visited, budget - steps)
-        steps += used
-        if current is None:
-            raise PartialSampleError(
-                f"random walk found {len(nodes)}/{m} nodes within {budget} steps",
-                nodes,
-                ["rw"] * len(nodes),
-                {"steps": steps},
-            )
-        visited[current] = True
-        nodes.append(current)
-    return SampleResult(
-        nodes=nodes,
-        tags=["rw"] * len(nodes),
-        counters={"steps": steps},
-        config=cfg.echo(sampler="rw"),
-    )
+    return _walk_sample(g, cfg, "rw", "random walk", uniform_step)
 
 
 def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
@@ -167,54 +175,18 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
 
     The bias comes from ``cfg.node2vec_p`` and ``cfg.node2vec_q``. Dead-end
     and restart handling are identical to the uniform random walk; a restart
-    forgets the previous node, so the next step is first-order. The walk
-    keeps its own loop rather than ``walk_until_new``, because each step
-    depends on the previous node as well as the current one.
+    forgets the previous node, so the next step is first-order. A node whose
+    out-edges all weigh zero also forces a restart.
     """
-    n = g.n
-    cfg.validate(n)
     p, q = cfg.node2vec_p, cfg.node2vec_q
-    rng = np.random.default_rng(cfg.rng_seed)
-    seed = pick_seed(cfg, g, rng)
-    m = cfg.target_size
-    nodes = [seed]
-    visited = np.zeros(n, dtype=bool)
-    visited[seed] = True
-    budget = STEP_BUDGET_FACTOR * m
-    steps = 0
-    prev: int | None = None
-    current = seed
-    out_degree = np.diff(g._out_indptr)
-    while len(nodes) < m:
-        if steps >= budget:
-            raise PartialSampleError(
-                f"node2vec walk found {len(nodes)}/{m} nodes within {budget} steps",
-                nodes,
-                ["node2vec"] * len(nodes),
-                {"steps": steps},
-            )
-        steps += 1
-        if out_degree[current] == 0 or rng.random() < RESTART_PROB:
-            prev = None
-            current = nodes[int(rng.integers(len(nodes)))]
-            continue
+
+    def step(g, rng, prev, current):
         idx, weights = node2vec_step_weights(g, prev, current, p, q)
         total = float(weights.sum())
         if total <= 0:
-            prev = None
-            current = nodes[int(rng.integers(len(nodes)))]
-            continue
+            return None
         u = rng.random() * total
         pos = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), idx.size - 1)
-        choice = int(idx[pos])
-        prev = current
-        current = choice
-        if not visited[current]:
-            visited[current] = True
-            nodes.append(current)
-    return SampleResult(
-        nodes=nodes,
-        tags=["node2vec"] * len(nodes),
-        counters={"steps": steps},
-        config=cfg.echo(sampler="node2vec"),
-    )
+        return int(idx[pos])
+
+    return _walk_sample(g, cfg, "node2vec", "node2vec walk", step)

@@ -30,7 +30,6 @@ from netsample.samplers.base import (
     SampleState,
     _refresh_leaderboard,
     pick_seed,
-    walk_until_new,
 )
 from netsample.samplers.tcpr import init_delta, member_deltas, update_deltas_on_admit
 
@@ -657,6 +656,50 @@ def reference_node2vec_step_weights(g: Graph, prev, current: int, p: float, q: f
     return out_idx, out_w * bias
 
 
+def reference_walk_until_new(g, rng, current, sampled, member_mask, budget):
+    """The uniform walk of ``walk_until_new`` as one inline loop that reads
+    the out-list on every step; returns ``(node, steps_used)``."""
+    steps = 0
+    while steps < budget:
+        steps += 1
+        out_idx, _ = g.out_neighbors(current)
+        if out_idx.size == 0 or rng.random() < RESTART_PROB:
+            current = sampled[int(rng.integers(len(sampled)))]
+            continue
+        current = int(out_idx[int(rng.integers(out_idx.size))])
+        if not member_mask[current]:
+            return current, steps
+    return None, steps
+
+
+def reference_sample_rw(g: Graph, cfg):
+    """The uniform random walk over ``reference_walk_until_new``."""
+    cfg.validate(g.n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    seed = pick_seed(cfg, g, rng)
+    m = cfg.target_size
+    nodes = [seed]
+    visited = np.zeros(g.n, dtype=bool)
+    visited[seed] = True
+    budget = STEP_BUDGET_FACTOR * m
+    steps = 0
+    while len(nodes) < m:
+        current, used = reference_walk_until_new(g, rng, nodes[-1], nodes, visited, budget - steps)
+        steps += used
+        if current is None:
+            raise PartialSampleError(
+                f"random walk found {len(nodes)}/{m} nodes within {budget} steps",
+                nodes,
+                ["rw"] * len(nodes),
+                {"steps": steps},
+            )
+        visited[current] = True
+        nodes.append(current)
+    return SampleResult(
+        nodes=nodes, tags=["rw"] * len(nodes), counters={"steps": steps}, config=cfg.echo(sampler="rw")
+    )
+
+
 def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candidates, on_admit=None):
     """``run_criterion_crawl`` with the per-candidate admit loop: one
     ``rng.random()`` per non-member candidate and ``np.add.at`` for the
@@ -690,7 +733,7 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
     current = pick_seed(cfg, g, rng)
     admit(current, "rw-init")
     while state.k < init_size:
-        current, used = walk_until_new(g, rng, current, state.members, state.member_mask, budget)
+        current, used = reference_walk_until_new(g, rng, current, state.members, state.member_mask, budget)
         counters["rw_steps"] += used
         if current is None:
             raise PartialSampleError(
@@ -706,7 +749,7 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
             continue
         counters["fallback_events"] += 1
         start = state.members[int(rng.integers(state.k))]
-        nxt, used = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
+        nxt, used = reference_walk_until_new(g, rng, start, state.members, state.member_mask, budget)
         counters["rw_steps"] += used
         if nxt is None:
             raise PartialSampleError(

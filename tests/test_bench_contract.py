@@ -2,9 +2,10 @@
 
 ``perfbench/layers.py`` wraps netsample functions and methods by identity at
 every name a module holds them under, and its ``crawl`` workload reads
-``len(state.dangling_members)`` from a ``tcpr`` step callback. This test
-installs those wrappers, runs a tiny ``tcpr`` crawl through them and checks
-that every original comes back on restore. ``perfbench/`` is only read.
+``len(state.dangling_members)`` from a ``tcpr`` step callback. These tests
+install those wrappers, run a tiny ``tcpr`` crawl and a tiny ``node2vec``
+walk through them and check that every original comes back on restore.
+``perfbench/`` is only read.
 """
 
 import sys
@@ -31,14 +32,18 @@ def layers_and_spans(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def test_perfbench_wrappers_install_run_and_restore(layers_and_spans):
-    layers, spans = layers_and_spans
+def _graph_with_sinks() -> Graph:
     n = 40
     rng = np.random.default_rng(7)
     src = rng.integers(0, n, size=240)
     dst = rng.integers(0, n, size=240)
     keep = src % 4 != 0  # every fourth node is a sink
-    g = Graph(n, src[keep], dst[keep], np.ones(int(keep.sum())), directed=True)
+    return Graph(n, src[keep], dst[keep], np.ones(int(keep.sum())), directed=True)
+
+
+def test_perfbench_wrappers_install_run_and_restore(layers_and_spans):
+    layers, spans = layers_and_spans
+    g = _graph_with_sinks()
     seen = []
 
     def step_callback(state, node, tag):
@@ -62,3 +67,26 @@ def test_perfbench_wrappers_install_run_and_restore(layers_and_spans):
                  "samplers.base.walk", "samplers.base.leaderboard.offer"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counters["graph.neighbor_queries"] > 0
+
+
+def test_perfbench_sees_the_node2vec_walk(layers_and_spans):
+    # node2vec walks through the shared walker, so both its walk and its
+    # step weights must reach the wrappers
+    layers, spans = layers_and_spans
+    g = _graph_with_sinks()
+    tracer = spans.Tracer()
+    patcher = layers.install(tracer)
+    try:
+        result = netsample.samplers.SAMPLERS["node2vec"](
+            g, SamplerConfig(target_size=20, rng_seed=3, seed_nodes=(1,))
+        )
+    finally:
+        patcher.restore()
+    assert patcher.unrestored() == []
+    assert tracer.check_failures == []
+
+    summary = tracer.summary()
+    for name in ("sampler.node2vec", "samplers.base.walk", "samplers.baselines.node2vec.step_weights"):
+        assert summary.get(name, {}).get("calls", 0) > 0, name
+    assert summary["samplers.base.walk"]["calls"] == len(result.nodes) - 1
+    assert tracer.counters["samplers.base.walk.steps"] == result.counters["steps"]

@@ -40,6 +40,7 @@ from conftest import (
     reference_neighborhood,
     reference_node2vec_step_weights,
     reference_sample_node2vec,
+    reference_sample_rw,
     reference_sample_tcec,
     reference_sample_tcpr,
     reference_tcec_score,
@@ -536,7 +537,7 @@ def _sample_outcome(fn, g, cfg):
 @settings(max_examples=300)
 @given(g=small_graphs(max_n=14, weighted=True), data=st.data())
 def test_crawls_equal_per_candidate_references(g, data):
-    name = data.draw(st.sampled_from(["tcec", "tcpr", "node2vec"]))
+    name = data.draw(st.sampled_from(["tcec", "tcpr", "node2vec", "rw"]))
     cfg = SamplerConfig(
         target_size=data.draw(st.integers(1, g.n)),
         rng_seed=data.draw(st.integers(0, 1000)),
@@ -549,6 +550,7 @@ def test_crawls_equal_per_candidate_references(g, data):
         "tcec": reference_sample_tcec,
         "tcpr": reference_sample_tcpr,
         "node2vec": reference_sample_node2vec,
+        "rw": reference_sample_rw,
     }[name]
     try:
         want = _sample_outcome(reference, g, cfg)
