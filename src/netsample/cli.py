@@ -47,7 +47,7 @@ def _load_graph(edge_list, sbm, directed):
         g, _ = load_edge_list(edge_list, directed=directed)
         return g, None
     with open(sbm, "r", encoding="utf-8") as fh:
-        g, partition = generate_sbm(SbmSpec(**yaml.safe_load(fh)))
+        g, partition = generate_sbm(SbmSpec.from_dict(yaml.safe_load(fh)))
     return g, partition
 
 

@@ -168,7 +168,7 @@ def load_input(spec: ExperimentSpec) -> tuple[Graph, LabeledPartition | None]:
         g, _ = load_edge_list(inp["edge_list"], directed=bool(inp.get("directed", True)))
         partition = load_labels(inp["labels"]) if "labels" in inp else None
     elif "sbm" in inp:
-        sbm = SbmSpec(**inp["sbm"])
+        sbm = SbmSpec.from_dict(inp["sbm"])
         g, partition = generate_sbm(sbm)
         if "attributes" in inp:
             attrs = inp["attributes"]
@@ -193,23 +193,25 @@ def _rep_seeds(spec: ExperimentSpec, cell: tuple, rep: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _pick_seed_node(
-    spec: ExperimentSpec,
-    g: Graph,
-    partition: LabeledPartition | None,
-    rng: np.random.Generator,
-    region=None,
-) -> int:
+def _seed_pool(spec: ExperimentSpec, partition: LabeledPartition | None, region) -> list | None:
+    """The sorted nodes a seed node of ``region`` is drawn from; ``None``
+    means every node."""
     if region is None and spec.seed_policy == "smallest_block":
         if partition is None:
             raise ValidationError("smallest_block seed policy needs labels")
         sizes = Counter(partition.assignments.values())
         region = min(sorted(sizes, key=str), key=lambda lab: sizes[lab])
     if region is None:
-        return int(rng.integers(g.n))
+        return None
     pool = sorted(v for v, lab in partition.assignments.items() if lab == region)
     if not pool:
         raise ValidationError(f"seed region {region!r} absent from labels")
+    return pool
+
+
+def _pick_seed_node(pool: list | None, n: int, rng: np.random.Generator) -> int:
+    if pool is None:
+        return int(rng.integers(n))
     return int(pool[int(rng.integers(len(pool)))])
 
 
@@ -469,16 +471,19 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     g, partition = load_input(spec)
     regions, names, measure = STUDIES[spec.kind](spec, g, partition)
     result = RunResult(resolved_config=spec.resolved())
+    pools = {}  # region index -> seed pool, resolved at the region's first cell
     cells = itertools.product(
         enumerate(regions), enumerate(spec.samplers), enumerate(spec.fractions)
     )
     for (ri, region), (si, entry), (fi, fraction) in cells:
         m = _sample_size(fraction, g.n)
         prefix = () if region is None else (ri,)
+        if ri not in pools:
+            pools[ri] = _seed_pool(spec, partition, region)
         for rep in range(spec.repetitions):
             s_seed, n_seed = _rep_seeds(spec, prefix + (si, fi), rep)
             node_rng = np.random.default_rng(n_seed)
-            seed_node = _pick_seed_node(spec, g, partition, node_rng, region)
+            seed_node = _pick_seed_node(pools[ri], g.n, node_rng)
             cfg = _build_config(entry, m, s_seed, seed_node)
             try:
                 sample = SAMPLERS[entry["name"]](g, cfg)

@@ -7,6 +7,7 @@ import heapq
 import numpy as np
 
 from ..errors import PartialSampleError
+from ..graph import csr_rows
 from .base import (
     STEP_BUDGET_FACTOR,
     SampleResult,
@@ -77,6 +78,19 @@ def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
     return _walk_sample(g, cfg, "rw", "random walk", uniform_step)
 
 
+def _neighbor_pairs(g, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, neighbor)`` pairs listing the distinct undirected neighbors
+    of every ``rows[owner]``, from one CSR gather; a directed graph's in- and
+    out-lists are merged and deduplicated per owner. A self-loop stays in."""
+    owner, pos = csr_rows(g._out_indptr, rows)
+    nbr = g._out_dst[pos]
+    if g.directed:
+        in_owner, in_pos = csr_rows(g._in_indptr, rows)
+        keys = np.concatenate([owner * g.n + nbr, in_owner * g.n + g._in_src[in_pos]])
+        owner, nbr = np.divmod(np.unique(keys), g.n)
+    return owner, nbr
+
+
 def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     """Greedy expansion sampling.
 
@@ -84,52 +98,53 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     the sample, with N the undirected neighborhood; ties break on the
     smallest node id, so the run is fully deterministic given the seed.
 
+    The gains are kept exact for every node of the closure ``S u N(S)``.
+    When nodes enter the closure, one CSR gather lists their neighborhoods:
+    each pair with an already-closed neighbor takes one off that neighbor's
+    gain, and one ``bincount`` against the grown closure gives the
+    newcomers' own gains. An admission thus costs the degrees of the nodes
+    it brings into the closure, not a pass over the graph.
+
     The selection is lazy greedy: a gain can only shrink as the closure
-    ``S u N(S)`` grows, so each border node sits once in a heap keyed by
-    ``(-gain, node)`` with the gain it had when last evaluated, and the
-    sample size at that time. A top entry evaluated at the current size is
-    exact and, as no entry understates its gain, the exact argmax; an older
-    top entry is re-evaluated and goes back with its fresh gain. Counters:
+    grows, so each border node sits once in a heap keyed by ``(-gain,
+    node)`` with the gain it had when last evaluated, and the sample size at
+    that time. A top entry evaluated at the current size is exact and, as no
+    entry understates its gain, the exact argmax; an older top entry is
+    re-evaluated, by reading its maintained gain, and goes back. Counters:
     ``border_peak`` is the largest border size and ``gain_evals`` the number
-    of gain evaluations.
+    of gain evaluations (one per border entry pushed or re-evaluated).
     """
     n = g.n
     cfg.validate(n)
     rng = np.random.default_rng(cfg.rng_seed)
     seed = pick_seed(cfg, g, rng)
     m = cfg.target_size
-    nbh_cache: dict[int, np.ndarray] = {}
-
-    def nbh(v):
-        arr = nbh_cache.get(v)
-        if arr is None:
-            arr = neighborhood(g, v)
-            nbh_cache[v] = arr
-        return arr
-
-    closure = np.zeros(n, dtype=bool)  # S union N(S)
-    seen = np.zeros(n, dtype=bool)  # S union border
+    closure = np.zeros(n, dtype=bool)  # S union N(S); the border is closure minus S
+    gains = np.zeros(n, dtype=np.int64)  # |N(v) minus closure|, exact on the closure
     heap: list[tuple[int, int, int]] = []  # (-gain, node, size at evaluation)
     nodes: list[int] = []
     counters = {"border_peak": 0, "gain_evals": 0}
 
-    def gain(v):
-        counters["gain_evals"] += 1
-        return int(np.count_nonzero(~closure[nbh(v)]))
+    def close(new):
+        """Add ``new``, distinct nodes outside the closure, to it. A
+        newcomer's self-loop is neither closed before nor outside after, so
+        it changes no gain."""
+        owner, nbr = _neighbor_pairs(g, new)
+        np.subtract.at(gains, nbr[closure[nbr]], 1)
+        closure[new] = True
+        gains[new] = np.bincount(owner[~closure[nbr]], minlength=new.size)
 
     def admit(v):
         nodes.append(v)
-        seen[v] = True
-        closure[v] = True
-        nb = nbh(v)
-        closure[nb] = True
-        fresh = nb[~seen[nb]]
-        seen[fresh] = True
-        for u in fresh:
-            u = int(u)
-            heapq.heappush(heap, (-gain(u), u, len(nodes)))
+        nb = neighborhood(g, v)
+        fresh = nb[~closure[nb]]
+        close(fresh)
+        counters["gain_evals"] += fresh.size
+        for u, gain in zip(fresh.tolist(), gains[fresh].tolist()):
+            heapq.heappush(heap, (-gain, u, len(nodes)))
         counters["border_peak"] = max(counters["border_peak"], len(heap))
 
+    close(np.array([seed]))
     admit(seed)
     while len(nodes) < m:
         if not heap:
@@ -139,9 +154,11 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
                 ["xs"] * len(nodes),
                 dict(counters),
             )
-        while heap[0][2] != len(nodes):
+        k = len(nodes)
+        while heap[0][2] != k:
             v = heap[0][1]
-            heapq.heapreplace(heap, (-gain(v), v, len(nodes)))
+            counters["gain_evals"] += 1
+            heapq.heapreplace(heap, (-int(gains[v]), v, k))
         admit(heapq.heappop(heap)[1])
     return SampleResult(
         nodes=nodes,

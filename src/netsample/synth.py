@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import Graph, LabeledPartition
+from .samplers.base import is_integer, is_real
 
 
 @dataclass(frozen=True)
@@ -25,12 +27,37 @@ class SbmSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
-        if not self.block_sizes or any(b <= 0 for b in self.block_sizes):
-            raise ValidationError("block sizes must be positive")
-        for p in (self.p_in, self.p_out):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError("edge probabilities must lie in [0, 1]")
+        sizes = self.block_sizes
+        if (
+            not isinstance(sizes, (list, tuple, np.ndarray))
+            or len(sizes) == 0
+            or not all(is_integer(b) and b >= 1 for b in sizes)
+        ):
+            raise ValidationError(
+                f"block_sizes must be a non-empty list of integers >= 1, got {sizes!r}"
+            )
+        object.__setattr__(self, "block_sizes", tuple(int(b) for b in sizes))
+        for name in ("p_in", "p_out"):
+            p = getattr(self, name)
+            if not (is_real(p) and 0.0 <= p <= 1.0):
+                raise ValidationError(f"{name} must be a real number in [0, 1], got {p!r}")
+        if not isinstance(self.directed, (bool, np.bool_)):
+            raise ValidationError(f"directed must be true or false, got {self.directed!r}")
+        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
+            raise ValidationError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+
+    @classmethod
+    def from_dict(cls, d) -> "SbmSpec":
+        """The spec of a parsed YAML mapping, with every key checked."""
+        if not isinstance(d, Mapping):
+            raise ValidationError(f"an SBM spec must be a mapping of its parameters, got {d!r}")
+        allowed = [f.name for f in fields(cls)]
+        unknown = [k for k in d if k not in allowed]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if unknown or missing:
+            problem = f"unknown key(s) {unknown}" if unknown else f"missing key(s) {missing}"
+            raise ValidationError(f"SBM spec: {problem}; allowed: {allowed}")
+        return cls(**d)
 
     @property
     def n(self) -> int:

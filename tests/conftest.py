@@ -6,6 +6,7 @@ path enumeration) and never share code with the implementations they check.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
@@ -29,6 +30,7 @@ from netsample.samplers.base import (
     SampleResult,
     SampleState,
     _refresh_leaderboard,
+    neighborhood,
     pick_seed,
 )
 from netsample.samplers.tcpr import init_delta, member_deltas, update_deltas_on_admit
@@ -220,6 +222,68 @@ def brute_expansion(g: Graph, target_size: int, seed: int):
                 best, best_gain = v, gain
         admit(best)
     return nodes, counters
+
+
+def reference_sample_expansion(g: Graph, cfg) -> SampleResult:
+    """``sample_expansion`` as it was before the gains were maintained: the
+    lazy-greedy heap re-evaluates a stale top by counting the node's cached
+    neighborhood outside the closure ``S u N(S)``."""
+    n = g.n
+    cfg.validate(n)
+    rng = np.random.default_rng(cfg.rng_seed)
+    seed = pick_seed(cfg, g, rng)
+    m = cfg.target_size
+    nbh_cache: dict[int, np.ndarray] = {}
+
+    def nbh(v):
+        arr = nbh_cache.get(v)
+        if arr is None:
+            arr = neighborhood(g, v)
+            nbh_cache[v] = arr
+        return arr
+
+    closure = np.zeros(n, dtype=bool)  # S union N(S)
+    seen = np.zeros(n, dtype=bool)  # S union border
+    heap: list[tuple[int, int, int]] = []  # (-gain, node, size at evaluation)
+    nodes: list[int] = []
+    counters = {"border_peak": 0, "gain_evals": 0}
+
+    def gain(v):
+        counters["gain_evals"] += 1
+        return int(np.count_nonzero(~closure[nbh(v)]))
+
+    def admit(v):
+        nodes.append(v)
+        seen[v] = True
+        closure[v] = True
+        nb = nbh(v)
+        closure[nb] = True
+        fresh = nb[~seen[nb]]
+        seen[fresh] = True
+        for u in fresh:
+            u = int(u)
+            heapq.heappush(heap, (-gain(u), u, len(nodes)))
+        counters["border_peak"] = max(counters["border_peak"], len(heap))
+
+    admit(seed)
+    while len(nodes) < m:
+        if not heap:
+            raise PartialSampleError(
+                f"expansion border exhausted at {len(nodes)}/{m} nodes",
+                nodes,
+                ["xs"] * len(nodes),
+                dict(counters),
+            )
+        while heap[0][2] != len(nodes):
+            v = heap[0][1]
+            heapq.heapreplace(heap, (-gain(v), v, len(nodes)))
+        admit(heapq.heappop(heap)[1])
+    return SampleResult(
+        nodes=nodes,
+        tags=["xs"] * len(nodes),
+        counters=counters,
+        config=cfg.echo(sampler="xs"),
+    )
 
 
 # -- brute-force measure oracles --------------------------------------

@@ -3,8 +3,9 @@
 ``perfbench/layers.py`` wraps netsample functions and methods by identity at
 every name a module holds them under, and its ``crawl`` workload reads
 ``len(state.dangling_members)`` from a ``tcpr`` step callback. These tests
-install those wrappers, run a tiny ``tcpr`` crawl and a tiny ``node2vec``
-walk through them and check that every original comes back on restore.
+install those wrappers, run a tiny ``tcpr`` crawl, a tiny ``node2vec`` walk
+and a tiny ``xs`` expansion through them and check that every original comes
+back on restore.
 ``perfbench/`` is only read.
 """
 
@@ -90,3 +91,24 @@ def test_perfbench_sees_the_node2vec_walk(layers_and_spans):
         assert summary.get(name, {}).get("calls", 0) > 0, name
     assert summary["samplers.base.walk"]["calls"] == len(result.nodes) - 1
     assert tracer.counters["samplers.base.walk.steps"] == result.counters["steps"]
+
+
+def test_perfbench_sees_the_expansion_sampler(layers_and_spans):
+    layers, spans = layers_and_spans
+    g = _graph_with_sinks()
+    original = netsample.samplers.SAMPLERS["xs"]
+    tracer = spans.Tracer()
+    patcher = layers.install(tracer)
+    try:
+        result = netsample.samplers.SAMPLERS["xs"](
+            g, SamplerConfig(target_size=20, rng_seed=3, seed_nodes=(1,))
+        )
+    finally:
+        patcher.restore()
+    assert patcher.unrestored() == []
+    assert tracer.check_failures == []
+    assert netsample.samplers.SAMPLERS["xs"] is original
+
+    assert tracer.summary()["sampler.xs"]["calls"] == 1
+    peak = tracer.counters["samplers.baselines.xs.border_peak"]
+    assert peak == result.counters["border_peak"] > 0

@@ -244,3 +244,36 @@ def test_experiment_run_badly_typed_config_exits_with_message(tmp_path):
     assert "sampler 'tcec': leaderboard_capacity must be an integer, got '10'" in r.output
     assert "Traceback" not in r.output
     assert isinstance(r.exception, SystemExit)
+
+
+def test_sample_bad_sbm_file_exits_with_message(tmp_path):
+    sbm = tmp_path / "sbm.yaml"
+    for text, message in [
+        (yaml.safe_dump({**SBM_YAML, "pin": 0.1}), "SBM spec: unknown key(s) ['pin']"),
+        (yaml.safe_dump({**SBM_YAML, "rng_seed": -1}), "rng_seed must be an integer >= 0, got -1"),
+        ("- 30\n- 30\n", "an SBM spec must be a mapping of its parameters, got [30, 30]"),
+    ]:
+        sbm.write_text(text)
+        r = CliRunner().invoke(
+            cli, ["sample", "--sbm", str(sbm), "--sampler", "rw", "--size", "3",
+                  "--output", str(tmp_path / "x")]
+        )
+        assert r.exit_code == 1
+        assert message in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "x.json").exists()
+
+
+def test_experiment_run_bad_sbm_input_exits_with_message(tmp_path):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "kind": "community",
+        "input": {"sbm": {**SBM_YAML, "p_in": "0.2"}},
+        "samplers": [{"name": "rw"}],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
+    assert r.exit_code == 1
+    assert "p_in must be a real number in [0, 1], got '0.2'" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)

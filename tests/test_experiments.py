@@ -245,6 +245,40 @@ def test_attribute_runner(tmp_path):
         )
 
 
+def test_seed_pools_resolve_once_per_region(tmp_path, monkeypatch):
+    resolved = []
+    seed_pool = experiments._seed_pool
+
+    def counted(spec, partition, region):
+        resolved.append(region)
+        return seed_pool(spec, partition, region)
+
+    monkeypatch.setattr(experiments, "_seed_pool", counted)
+    inp = {**SBM_INPUT, "attributes": {"noise": 0.1, "labels": ["a", "b", "c"]}}
+    spec = small_spec(
+        kind="attribute",
+        input=inp,
+        samplers=[{"name": "rw"}, {"name": "xs"}],
+        fractions=(0.1, 0.2),
+        seed_regions=("a", "b"),
+        output_dir=str(tmp_path / "out"),
+    )
+    assert len(run_experiment(spec).rows) == 2 * 2 * 2 * 2 * 2
+    assert resolved == ["a", "b"]
+
+
+def test_smallest_block_seed_policy_needs_labels(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    spec = small_spec(
+        input={"edge_list": str(edges)},
+        seed_policy="smallest_block",
+        output_dir=str(tmp_path / "out"),
+    )
+    with pytest.raises(ValidationError, match="smallest_block seed policy needs labels"):
+        run_experiment(spec)
+
+
 def test_aggregate_rows_handles_missing_values():
     rows = [
         {"dataset": "d", "sampler": "rn", "fraction": 0.1, "measure": "m",

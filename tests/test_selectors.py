@@ -16,7 +16,12 @@ from netsample.samplers import SamplerConfig, sample_expansion
 from netsample.samplers.base import Leaderboard
 from netsample.synth import SbmSpec, generate_sbm
 
-from conftest import ReferenceLeaderboard, brute_expansion, small_graphs
+from conftest import (
+    ReferenceLeaderboard,
+    brute_expansion,
+    reference_sample_expansion,
+    small_graphs,
+)
 
 NODE = st.integers(0, 15)
 SCORE = st.integers(0, 4)
@@ -83,6 +88,52 @@ def test_expansion_matches_brute_force(g, data):
     assert r.nodes == want_nodes
     assert r.tags == ["xs"] * m
     assert r.counters["border_peak"] == want_counters["border_peak"]
+
+
+def _expansion_outcome(sampler, g, cfg):
+    """Everything a run shows: the result, or the partial sample's payload."""
+    try:
+        r = sampler(g, cfg)
+    except PartialSampleError as exc:
+        return "partial", str(exc), exc.nodes, exc.tags, exc.counters
+    return "full", r.nodes, r.tags, r.counters, r.config
+
+
+@st.composite
+def expansion_graphs(draw):
+    """Graphs with self-loops, repeated and zero-weight edges and isolated
+    nodes, where some edges come with their reverse, so that a directed
+    node's in- and out-lists overlap."""
+    n = draw(st.integers(1, 25))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.sampled_from([0.0, 1.0, 2.5])), max_size=3 * n))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges += [(v, u, w) for (u, v, w), flip in zip(edges, flips) if flip]
+    return Graph.from_edges(n, edges, directed=draw(st.booleans()))
+
+
+@settings(max_examples=200)
+@given(g=expansion_graphs(), data=st.data())
+def test_expansion_matches_reference_sampler(g, data):
+    seeds = st.one_of(st.just(()), st.tuples(st.integers(0, g.n - 1)))
+    cfg = SamplerConfig(
+        target_size=data.draw(st.integers(1, g.n)),
+        rng_seed=data.draw(st.integers(0, 3)),
+        seed_nodes=data.draw(seeds),
+    )
+    got = _expansion_outcome(sample_expansion, g, cfg)
+    assert got == _expansion_outcome(reference_sample_expansion, g, cfg)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_expansion_matches_reference_sampler_on_sbm(directed):
+    g, _ = generate_sbm(
+        SbmSpec(block_sizes=(300, 400), p_in=0.02, p_out=0.002, directed=directed, rng_seed=5)
+    )
+    cfg = SamplerConfig(target_size=350, rng_seed=2)
+    got = _expansion_outcome(sample_expansion, g, cfg)
+    assert got[0] == "full" and got[3]["gain_evals"] > got[3]["border_peak"]
+    assert got == _expansion_outcome(reference_sample_expansion, g, cfg)
 
 
 def test_expansion_rejects_bad_seed_like_brute_force():

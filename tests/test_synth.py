@@ -24,6 +24,60 @@ def test_spec_validation():
     assert SbmSpec(block_sizes=(2, 3), p_in=0.1, p_out=0.1).n == 5
 
 
+GOOD_SBM = {"block_sizes": [2, 3], "p_in": 0.1, "p_out": 0.1}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"pin": 0.1}, "SBM spec: unknown key(s) ['pin']; allowed: ['block_sizes', 'p_in',"),
+        ({"p_in": None}, "p_in must be a real number in [0, 1], got None"),
+        ({"p_in": "0.1"}, "p_in must be a real number in [0, 1], got '0.1'"),
+        ({"p_in": True}, "p_in must be a real number in [0, 1], got True"),
+        ({"p_out": float("nan")}, "p_out must be a real number in [0, 1], got nan"),
+        ({"p_out": -0.1}, "p_out must be a real number in [0, 1], got -0.1"),
+        ({"rng_seed": 1.5}, "rng_seed must be an integer >= 0, got 1.5"),
+        ({"rng_seed": -1}, "rng_seed must be an integer >= 0, got -1"),
+        ({"rng_seed": True}, "rng_seed must be an integer >= 0, got True"),
+        ({"directed": "yes"}, "directed must be true or false, got 'yes'"),
+        ({"directed": 1}, "directed must be true or false, got 1"),
+        ({"block_sizes": [2.7, 3]}, "block_sizes must be a non-empty list of integers >= 1, got [2.7, 3]"),
+        ({"block_sizes": [2, 0]}, "block_sizes must be a non-empty list of integers >= 1, got [2, 0]"),
+        ({"block_sizes": [True, 3]}, "got [True, 3]"),
+        ({"block_sizes": []}, "block_sizes must be a non-empty list of integers >= 1, got []"),
+        ({"block_sizes": 5}, "block_sizes must be a non-empty list of integers >= 1, got 5"),
+        ({"block_sizes": "23"}, "got '23'"),
+    ],
+)
+def test_spec_from_dict_names_the_bad_field(change, message):
+    with pytest.raises(ValidationError) as exc:
+        SbmSpec.from_dict({**GOOD_SBM, **change})
+    assert message in str(exc.value)
+
+
+def test_spec_from_dict_rejects_non_mappings_and_missing_keys():
+    for bad in (None, [2, 3], "sbm.yaml", 3):
+        with pytest.raises(ValidationError, match="an SBM spec must be a mapping"):
+            SbmSpec.from_dict(bad)
+    with pytest.raises(ValidationError, match=r"missing key\(s\) \['p_out'\]"):
+        SbmSpec.from_dict({"block_sizes": [2], "p_in": 0.1})
+
+
+def test_spec_accepts_numpy_numbers():
+    spec = SbmSpec(
+        block_sizes=np.array([4, 5]),
+        p_in=np.float32(0.5),
+        p_out=np.float64(0.25),
+        directed=np.bool_(True),
+        rng_seed=np.int64(3),
+    )
+    assert spec.block_sizes == (4, 5) and all(type(b) is int for b in spec.block_sizes)
+    g, _ = generate_sbm(spec)
+    want, _ = generate_sbm(SbmSpec.from_dict({"block_sizes": [4, 5], "p_in": 0.5, "p_out": 0.25,
+                                              "directed": True, "rng_seed": 3}))
+    assert np.array_equal(dense_adjacency(g), dense_adjacency(want))
+
+
 def test_triangle_unrank_full_enumeration():
     for n in (2, 3, 5, 9):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
