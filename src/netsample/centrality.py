@@ -15,9 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer, is_real, require
 from .graph import Graph, csr_rows
-from .samplers.base import is_integer, is_real
 
 # betweenness runs BLOCK_SLOTS // (n + num_edges) sources at a time (at
 # least one), which keeps its per-block key and edge arrays to a few MB;
@@ -52,24 +51,14 @@ class CentralityVector:
                 fh.write(line + "\n")
 
 
-def _require_positive(name: str, value) -> None:
-    if not (is_real(value) and 0 < value < math.inf):
-        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-
-
-def _require_max_iter(value) -> None:
-    if not (is_integer(value) and value >= 1):
-        raise ValidationError(f"max_iter must be an integer >= 1, got {value!r}")
-
-
 def eigenvector_centrality(g: Graph, tol: float = 1e-10, max_iter: int = 1000) -> CentralityVector:
     """Leading left eigenvector of the adjacency matrix by power iteration.
 
     Scores are L1-normalized; non-convergence (e.g. on graphs that are not
     strongly connected) is flagged, not fatal.
     """
-    _require_positive("tol", tol)
-    _require_max_iter(max_iter)
+    require("tol", tol, "a positive finite number", is_real(tol) and 0 < tol < math.inf)
+    require("max_iter", max_iter, "an integer >= 1", is_integer(max_iter) and max_iter >= 1)
     if g.num_edges == 0:
         raise ValidationError("eigenvector centrality needs at least one edge")
     a_t = g.to_scipy_transpose()
@@ -101,8 +90,8 @@ def pagerank(
     """
     if not (is_real(gamma) and 0.0 <= gamma < 1.0):
         raise ValidationError(f"gamma (damping) must lie in [0, 1), got {gamma!r}")
-    _require_positive("tol", tol)
-    _require_max_iter(max_iter)
+    require("tol", tol, "a positive finite number", is_real(tol) and 0 < tol < math.inf)
+    require("max_iter", max_iter, "an integer >= 1", is_integer(max_iter) and max_iter >= 1)
     n = g.n
     if n == 0:
         raise ValidationError("pagerank needs at least one node")
@@ -238,10 +227,10 @@ def springrank(g: Graph, reg: float = 1.0, tol: float = 1e-10, max_iter: int | N
     conjugate gradient; the operator is symmetric positive definite for
     ``reg > 0``. Scores are not normalized (only ranks matter downstream).
     """
-    _require_positive("reg", reg)
-    _require_positive("tol", tol)
+    require("reg", reg, "a positive finite number", is_real(reg) and 0 < reg < math.inf)
+    require("tol", tol, "a positive finite number", is_real(tol) and 0 < tol < math.inf)
     if max_iter is not None:
-        _require_max_iter(max_iter)
+        require("max_iter", max_iter, "an integer >= 1", is_integer(max_iter) and max_iter >= 1)
     n = g.n
     w = g.to_scipy() + g.to_scipy_transpose()
     op = reg * sp.identity(n, format="csr") + sp.diags(g.out_strength + g.in_strength) - w

@@ -5,26 +5,34 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
-import yaml
 
 from . import __version__
-from .centrality import MEASURES, betweenness, pivot_sources
+from .centrality import MEASURES, pivot_sources
 from .errors import NetsampleError, PartialSampleError
 from .experiments import (
     EXACT_BETWEENNESS_LIMIT,
     RAW_HEADER,
     SUMMARY_HEADER,
     ExperimentSpec,
+    load_input,
     merge_results,
+    read_yaml,
     run_experiment,
+    sample_size,
     write_csv,
 )
-from .graph import load_edge_list
 from .samplers import SAMPLERS, SamplerConfig
-from .synth import SbmSpec, generate_sbm
+
+KNOB_DEFAULTS = {f.name: f.default for f in fields(SamplerConfig)}
+
+
+def _knob(flag, name, kind, **kw):
+    """A ``sample`` option for the ``SamplerConfig`` field ``name``, with its default."""
+    return click.option(flag, name, type=kind, default=KNOB_DEFAULTS[name], show_default=True, **kw)
 
 
 def _wrap_errors(fn):
@@ -43,12 +51,8 @@ def _wrap_errors(fn):
 def _load_graph(edge_list, sbm, directed):
     if (edge_list is None) == (sbm is None):
         raise click.UsageError("provide exactly one of --edge-list or --sbm")
-    if edge_list is not None:
-        g, _ = load_edge_list(edge_list, directed=directed)
-        return g, None
-    with open(sbm, "r", encoding="utf-8") as fh:
-        g, partition = generate_sbm(SbmSpec.from_dict(yaml.safe_load(fh)))
-    return g, partition
+    inp = {"edge_list": edge_list, "directed": directed} if sbm is None else {"sbm": read_yaml(sbm)}
+    return load_input(inp)
 
 
 @click.group()
@@ -64,58 +68,27 @@ def cli():
 @click.option("--sampler", type=click.Choice(sorted(SAMPLERS)), required=True)
 @click.option("--size", type=int, help="Absolute sample size.")
 @click.option("--fraction", type=float, help="Sample size as a fraction of n.")
-@click.option(
-    "--seed-node", type=int, multiple=True, help="Starting node (at most one); random if omitted."
-)
-@click.option("--rng-seed", type=int, default=0, show_default=True)
-@click.option("--alpha", type=float, default=None, help="In-degree mixing weight.")
-@click.option("--exploration-p", type=float, default=0.1, show_default=True)
-@click.option("--leaderboard-capacity", type=int, default=100, show_default=True)
-@click.option("--rw-init-fraction", type=float, default=0.2, show_default=True)
-@click.option("--damping", type=float, default=0.85, show_default=True)
-@click.option("--rescore-on-pop", is_flag=True, default=False)
-@click.option("--p", "n2v_p", type=float, default=2.0, show_default=True, help="node2vec return parameter.")
-@click.option("--q", "n2v_q", type=float, default=0.5, show_default=True, help="node2vec in-out parameter.")
+@_knob("--seed-node", "seed_nodes", int, multiple=True,
+       help="Starting node (at most one); random if omitted.")
+@_knob("--rng-seed", "rng_seed", int)
+@_knob("--alpha", "alpha", float, help="In-degree mixing weight.")
+@_knob("--exploration-p", "exploration_p", float)
+@_knob("--leaderboard-capacity", "leaderboard_capacity", int)
+@_knob("--rw-init-fraction", "rw_init_fraction", float)
+@_knob("--damping", "damping", float)
+@_knob("--rescore-on-pop", "rescore_on_pop", bool, is_flag=True)
+@_knob("--p", "node2vec_p", float, help="node2vec return parameter.")
+@_knob("--q", "node2vec_q", float, help="node2vec in-out parameter.")
 @click.option("--output", type=click.Path(), required=True, help="Output prefix.")
 @_wrap_errors
-def sample(
-    edge_list,
-    sbm,
-    directed,
-    sampler,
-    size,
-    fraction,
-    seed_node,
-    rng_seed,
-    alpha,
-    exploration_p,
-    leaderboard_capacity,
-    rw_init_fraction,
-    damping,
-    rescore_on_pop,
-    n2v_p,
-    n2v_q,
-    output,
-):
+def sample(edge_list, sbm, directed, sampler, size, fraction, output, **knobs):
     """Run one sampler and write the node list plus JSON metadata."""
+    # knobs holds one value per SamplerConfig field but target_size
     g, _ = _load_graph(edge_list, sbm, directed)
     if (size is None) == (fraction is None):
         raise click.UsageError("provide exactly one of --size or --fraction")
-    m = size if size is not None else max(1, min(g.n, round(fraction * g.n)))
-    cfg = SamplerConfig(
-        target_size=m,
-        rw_init_fraction=rw_init_fraction,
-        leaderboard_capacity=leaderboard_capacity,
-        alpha=alpha,
-        exploration_p=exploration_p,
-        damping=damping,
-        seed_nodes=seed_node,
-        rng_seed=rng_seed,
-        rescore_on_pop=rescore_on_pop,
-        node2vec_p=n2v_p,
-        node2vec_q=n2v_q,
-    )
-    result = SAMPLERS[sampler](g, cfg)
+    m = size if size is not None else sample_size(fraction, g.n)
+    result = SAMPLERS[sampler](g, SamplerConfig(target_size=m, **knobs))
     out = Path(output)
     result.save(out.with_suffix(".json"), out.with_suffix(".nodes.txt"))
     click.echo(f"sampled {len(result.nodes)} nodes -> {out.with_suffix('.json')}")
@@ -140,24 +113,19 @@ def centrality(
 ):
     """Compute one centrality measure over the whole graph; write CSV."""
     g, _ = _load_graph(edge_list, sbm, directed)
-    if measure == "pagerank":
-        vec = MEASURES[measure](g, gamma=gamma, tol=tol, max_iter=max_iter)
-    elif measure == "eigenvector":
-        vec = MEASURES[measure](g, tol=tol, max_iter=max_iter)
-    elif measure == "springrank":
-        vec = MEASURES[measure](g, reg=reg)
-    elif measure == "betweenness":
-        if exact:
-            if g.n > EXACT_BETWEENNESS_LIMIT:
-                raise click.ClickException(
-                    f"exact betweenness refused for n={g.n} > {EXACT_BETWEENNESS_LIMIT}; "
-                    "use --approximate with --pivots"
-                )
-            vec = betweenness(g)
-        else:
-            vec = betweenness(g, sources=pivot_sources(g.n, pivots, pivot_seed))
-    else:
-        vec = MEASURES[measure](g)
+    params = {
+        "pagerank": {"gamma": gamma, "tol": tol, "max_iter": max_iter},
+        "eigenvector": {"tol": tol, "max_iter": max_iter},
+        "springrank": {"reg": reg},
+    }.get(measure, {})
+    if measure == "betweenness" and not exact:
+        params = {"sources": pivot_sources(g.n, pivots, pivot_seed)}
+    elif measure == "betweenness" and g.n > EXACT_BETWEENNESS_LIMIT:
+        raise click.ClickException(
+            f"exact betweenness refused for n={g.n} > {EXACT_BETWEENNESS_LIMIT}; "
+            "use --approximate with --pivots"
+        )
+    vec = MEASURES[measure](g, **params)
     vec.save_csv(output)
     if not vec.converged:
         click.echo(f"warning: {measure} did not converge (residual {vec.residual:g})", err=True)

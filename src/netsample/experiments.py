@@ -18,18 +18,35 @@ import math
 import os
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .centrality import MEASURES, CentralityVector, betweenness, pivot_sources
-from .errors import PartialSampleError, UndefinedCorrelationError, ValidationError
-from .graph import Graph, LabeledPartition, induced_subgraph, load_edge_list, load_labels
+from .errors import (
+    ParseError,
+    PartialSampleError,
+    UndefinedCorrelationError,
+    ValidationError,
+    checked_keys,
+    from_mapping,
+    is_integer,
+    is_label,
+    is_real,
+    require,
+)
+from .graph import (
+    Graph,
+    LabeledPartition,
+    induced_subgraph,
+    load_edge_list,
+    load_labels,
+    read_text,
+)
 from .metrics import entropy_ratio, kendall_tau, kl_divergence, label_histogram
 from .samplers import SAMPLERS, SamplerConfig
-from .samplers.base import is_integer, is_real
 from .synth import SbmSpec, generate_sbm, plant_attributes
 
 CACHE_ENV_VAR = "NETSAMPLE_CACHE_DIR"
@@ -61,126 +78,114 @@ class ExperimentSpec:
     betweenness_pivots: int = 200
     output_dir: str = "results"
 
-    KINDS = ("centrality_comparison", "community", "attribute")
     SEED_POLICIES = ("uniform", "smallest_block")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if not (isinstance(self.kind, str) and self.kind in STUDIES):
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
         for f in _entries("fractions", self.fractions):
-            _require("fractions entry", f, "a real number in (0, 1]", is_real(f) and 0.0 < f <= 1.0)
+            require("fractions entry", f, "a real number in (0, 1]", is_real(f) and 0.0 < f <= 1.0)
         self.fractions = tuple(float(f) for f in self.fractions)
         for name, low in (("repetitions", 1), ("betweenness_pivots", 1), ("base_seed", 0)):
             value = getattr(self, name)
-            _require(name, value, f"an integer >= {low}", is_integer(value) and value >= low)
+            require(name, value, f"an integer >= {low}", is_integer(value) and value >= low)
         if self.seeds is not None:
             for s in _entries("seeds", self.seeds):
-                _require("seeds entry", s, "an integer >= 0", is_integer(s) and s >= 0)
+                require("seeds entry", s, "an integer >= 0", is_integer(s) and s >= 0)
             self.seeds = tuple(int(s) for s in self.seeds)
             if len(self.seeds) < self.repetitions:
                 raise ValidationError("fixed seed list shorter than repetitions")
         self.seed_regions = _entries("seed_regions", self.seed_regions)
+        for r in self.seed_regions:
+            require("seed_regions entry", r, "a string or an integer", is_label(r))
         for name in _entries("measures", self.measures):
-            if name not in MEASURES:
+            if not (isinstance(name, str) and name in MEASURES):
                 raise ValidationError(
                     f"unknown measure {name!r}; allowed: {', '.join(sorted(MEASURES))}"
                 )
-        self.samplers = [_sampler_entry(s) for s in self.samplers]
+        dataset, out = self.dataset, self.output_dir
+        ok = isinstance(dataset, str) or is_real(dataset)
+        require("dataset", dataset, "a string or a number", ok)
+        require("output_dir", out, "a directory path", isinstance(out, (str, os.PathLike)))
+        self.output_dir = str(out)
         if self.seed_policy not in self.SEED_POLICIES:
             raise ValidationError(
                 f"unknown seed_policy {self.seed_policy!r}; "
                 f"allowed: {', '.join(self.SEED_POLICIES)}"
             )
-        for s in self.samplers:
-            if not isinstance(s["name"], str) or s["name"] not in SAMPLERS:
-                raise ValidationError(f"unknown sampler {s['name']!r}")
-            allowed = SAMPLER_CONFIG_KEYS.union(NODE2VEC_KEYS if s["name"] == "node2vec" else ())
-            unknown = sorted(set(s["config"]) - allowed)
-            if unknown:
-                raise ValidationError(
-                    f"sampler {s['name']!r}: unknown config key(s) {unknown}; "
-                    f"allowed: {sorted(allowed)}"
-                )
-            try:
-                _build_config(s, 1, 0, 0).validate(1)
-            except ValidationError as exc:
-                raise ValidationError(f"sampler {s['name']!r}: {exc}") from None
+        self.samplers = [_sampler_entry(s) for s in _entries("samplers", self.samplers)]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown spec keys: {sorted(unknown)}")
-        return cls(**d)
+    def from_dict(cls, d) -> "ExperimentSpec":
+        return from_mapping(cls, d, "an experiment spec")
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+        return cls.from_dict(read_yaml(path))
 
     def resolved(self) -> dict:
         """All defaults materialized, for the provenance echo."""
-        return {
-            "kind": self.kind,
-            "dataset": self.dataset,
-            "input": self.input,
-            "samplers": self.samplers,
-            "fractions": list(self.fractions),
-            "measures": list(self.measures),
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "seeds": list(self.seeds) if self.seeds is not None else None,
-            "seed_policy": self.seed_policy,
-            "seed_regions": list(self.seed_regions),
-            "betweenness_pivots": self.betweenness_pivots,
-            "output_dir": str(self.output_dir),
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
+def read_yaml(path):
+    """The YAML document in the file at ``path``; every error names the file."""
+    try:
+        return yaml.safe_load(read_text(path))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ParseError(problem, path, None if mark is None else mark.line + 1) from None
 
 
 def _entries(name: str, value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{name} must be a list, got {value!r}")
+    require(name, value, "a list", isinstance(value, (list, tuple)))
     return tuple(value)
 
 
-def _require(name: str, value, what: str, ok: bool) -> None:
-    if not ok:
-        raise ValidationError(f"{name} must be {what}, got {value!r}")
-
-
 def _sampler_entry(entry) -> dict:
-    """Normalize one ``{name, config}`` sampler entry of a spec."""
+    """Check one ``{name, config}`` sampler entry of a spec and normalize it."""
     if not isinstance(entry, Mapping) or "name" not in entry or set(entry) - {"name", "config"}:
         raise ValidationError(
             f"sampler entry {entry!r}: expected a mapping {{name: <sampler>, config: {{...}}}}"
         )
-    config = entry.get("config") or {}
+    name, config = entry["name"], entry.get("config") or {}
+    if not (isinstance(name, str) and name in SAMPLERS):
+        raise ValidationError(f"unknown sampler {name!r}")
     if not isinstance(config, Mapping):
-        raise ValidationError(f"sampler {entry['name']!r}: config must be a mapping, got {config!r}")
-    return {"name": entry["name"], "config": dict(config)}
+        raise ValidationError(f"sampler {name!r}: config must be a mapping, got {config!r}")
+    allowed = SAMPLER_CONFIG_KEYS.union(NODE2VEC_KEYS if name == "node2vec" else ())
+    unknown = sorted(set(config) - allowed, key=str)
+    if unknown:
+        raise ValidationError(
+            f"sampler {name!r}: unknown config key(s) {unknown}; allowed: {sorted(allowed)}"
+        )
+    entry = {"name": name, "config": dict(config)}
+    try:
+        _build_config(entry, 1, 0, 0).validate(1)
+    except ValidationError as exc:
+        raise ValidationError(f"sampler {name!r}: {exc}") from None
+    return entry
 
 
-def load_input(spec: ExperimentSpec) -> tuple[Graph, LabeledPartition | None]:
-    """Materialize the graph and (optional) node labels named by the spec."""
-    inp = spec.input
-    if "edge_list" in inp:
-        g, _ = load_edge_list(inp["edge_list"], directed=bool(inp.get("directed", True)))
-        partition = load_labels(inp["labels"]) if "labels" in inp else None
-    elif "sbm" in inp:
+def load_input(inp) -> tuple[Graph, LabeledPartition | None]:
+    """Materialize the graph and (optional) node labels of a spec's ``input``
+    mapping: ``{edge_list, directed, labels}`` or ``{sbm, attributes}``."""
+    if isinstance(inp, Mapping) and "edge_list" in inp:
+        inp = checked_keys(inp, "an edge_list input", ("edge_list",), ("directed", "labels"))
+        g, _ = load_edge_list(inp["edge_list"], directed=inp.get("directed", True))
+        return g, load_labels(inp["labels"]) if "labels" in inp else None
+    if isinstance(inp, Mapping) and "sbm" in inp:
+        inp = checked_keys(inp, "an sbm input", ("sbm",), ("attributes",))
         sbm = SbmSpec.from_dict(inp["sbm"])
         g, partition = generate_sbm(sbm)
         if "attributes" in inp:
-            attrs = inp["attributes"]
-            partition = plant_attributes(
-                partition,
-                noise=float(attrs.get("noise", 0.0)),
-                labels=list(attrs["labels"]),
-                rng_seed=int(attrs.get("rng_seed", sbm.rng_seed + 1)),
-            )
-    else:
-        raise ValidationError("input must name an edge_list or an sbm")
-    return g, partition
+            attrs = {"noise": 0.0, "rng_seed": sbm.rng_seed + 1}  # the optional keys
+            attrs |= checked_keys(inp["attributes"], "attributes", ("labels",), attrs)
+            partition = plant_attributes(partition, **attrs)
+        return g, partition
+    raise ValidationError(f"input must be a mapping naming an edge_list or an sbm, got {inp!r}")
 
 
 def _rep_seeds(spec: ExperimentSpec, cell: tuple, rep: int) -> tuple[int, int]:
@@ -384,7 +389,9 @@ def aggregate_rows(rows) -> list:
     return out
 
 
-def _sample_size(fraction: float, n: int) -> int:
+def sample_size(fraction: float, n: int) -> int:
+    ok = is_real(fraction) and 0 < fraction <= 1
+    require("fraction", fraction, "a real number in (0, 1]", ok)
     return max(1, min(n, round(fraction * n)))
 
 
@@ -468,7 +475,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     value for each name, not a failure. An attribute run puts the region
     index at the front of every cell's seed entropy.
     """
-    g, partition = load_input(spec)
+    g, partition = load_input(spec.input)
     regions, names, measure = STUDIES[spec.kind](spec, g, partition)
     result = RunResult(resolved_config=spec.resolved())
     pools = {}  # region index -> seed pool, resolved at the region's first cell
@@ -476,7 +483,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         enumerate(regions), enumerate(spec.samplers), enumerate(spec.fractions)
     )
     for (ri, region), (si, entry), (fi, fraction) in cells:
-        m = _sample_size(fraction, g.n)
+        m = sample_size(fraction, g.n)
         prefix = () if region is None else (ri,)
         if ri not in pools:
             pools[ri] = _seed_pool(spec, partition, region)

@@ -19,7 +19,7 @@ from typing import Hashable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require
 
 UNKNOWN_LABEL = "unknown"
 
@@ -233,6 +233,7 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     edges merge by weight summation; self-loops are kept; for undirected
     graphs each edge is materialized in both directions.
     """
+    require("directed", directed, "true or false", isinstance(directed, (bool, np.bool_)))
     cols = _parse_columns(path)
     src, dst, w = cols if cols is not None else _scan_lines(path)
     ids, dense = _dense_ids(np.concatenate([src, dst]))
@@ -268,7 +269,7 @@ def _parse_columns(path):
     3-field lines, ``1_000`` or Unicode digits, ids beyond int64, invalid
     UTF-8), return None and are left to ``_scan_lines``.
     """
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     if data.count(b"\r") != data.count(b"\r\n") or not _hashes_begin_comments(data):
         return None
     with warnings.catch_warnings():
@@ -296,21 +297,34 @@ def _hashes_begin_comments(data: bytes) -> bool:
     return True
 
 
-def _scan_lines(path):
-    """Parse an edge list line by line, raising on the first bad line.
-
-    The loader's only source of ``ParseError`` and ``ValidationError``.
-    """
-    data = Path(path).read_bytes()
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``, or a ``ValidationError`` that names it."""
     try:
-        text = data.decode("utf-8")
+        return Path(path).read_bytes()
+    except (OSError, TypeError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {path}: {reason}") from None
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; invalid UTF-8 is a ``ParseError``."""
+    data = _read_bytes(path)
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].decode("utf-8")
         line_no = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         raise ParseError(f"not valid UTF-8: {exc.reason}", path, line_no) from None
+
+
+def _scan_lines(path):
+    """Parse an edge list line by line, raising on the first bad line.
+
+    The loader's only source of errors about the file's content.
+    """
     src, dst, w = [], [], []
     # newline=None ends lines at \n, \r and \r\n, as open() does
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -412,24 +426,23 @@ def load_labels(path) -> LabeledPartition:
     Consistent duplicates are allowed; conflicting duplicates are an error.
     """
     assignments: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected 'id<TAB>label'", path, line_no)
-            try:
-                node = int(parts[0])
-            except ValueError:
-                raise ParseError("non-integer node id", path, line_no) from None
-            label = parts[1]
-            if node in assignments and assignments[node] != label:
-                raise ValidationError(
-                    f"{path}:{line_no}: node {node} relabeled "
-                    f"{assignments[node]!r} -> {label!r}"
-                )
-            assignments[node] = label
+    for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise ParseError("expected 'id<TAB>label'", path, line_no)
+        try:
+            node = int(parts[0])
+        except ValueError:
+            raise ParseError("non-integer node id", path, line_no) from None
+        label = parts[1]
+        if node in assignments and assignments[node] != label:
+            raise ValidationError(
+                f"{path}:{line_no}: node {node} relabeled "
+                f"{assignments[node]!r} -> {label!r}"
+            )
+        assignments[node] = label
     return LabeledPartition(assignments=assignments)
 
 

@@ -5,25 +5,16 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import PartialSampleError, ValidationError
+from ..errors import PartialSampleError, ValidationError, is_integer, is_real, require
 
 # the walker jumps back into the sample this often; the protocol never
 # specifies sink handling, so the constant is recorded in every result
 RESTART_PROB = 0.15
 STEP_BUDGET_FACTOR = 1000
-
-
-def is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -50,8 +41,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         seeds = self.seed_nodes
-        if not isinstance(seeds, (tuple, list, np.ndarray)) or not all(map(is_integer, seeds)):
-            raise ValidationError(f"seed_nodes must be a sequence of integers, got {seeds!r}")
+        ok = isinstance(seeds, (tuple, list, np.ndarray)) and all(map(is_integer, seeds))
+        require("seed_nodes", seeds, "a sequence of integers", ok)
         self.seed_nodes = tuple(int(s) for s in seeds)
 
     INT_FIELDS = ("target_size", "leaderboard_capacity", "rng_seed")
@@ -61,14 +52,14 @@ class SamplerConfig:
 
     def validate(self, n: int) -> None:
         for name in self.INT_FIELDS:
-            if not is_integer(getattr(self, name)):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            require(name, value, "an integer", is_integer(value))
         for name in self.REAL_FIELDS:
             value = getattr(self, name)
-            if not (is_real(value) or (name == "alpha" and value is None)):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if not isinstance(self.rescore_on_pop, (bool, np.bool_)):
-            raise ValidationError(f"rescore_on_pop must be true or false, got {self.rescore_on_pop!r}")
+            ok = is_real(value) or (name == "alpha" and value is None)
+            require(name, value, "a real number", ok)
+        rescore = self.rescore_on_pop
+        require("rescore_on_pop", rescore, "true or false", isinstance(rescore, (bool, np.bool_)))
         if not 1 <= self.target_size <= n:
             raise ValidationError(f"target size {self.target_size} not in 1..{n}")
         if len(self.seed_nodes) > 1:

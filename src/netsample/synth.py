@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, from_mapping, is_integer, is_label, is_real, require
 from .graph import Graph, LabeledPartition
-from .samplers.base import is_integer, is_real
 
 
 @dataclass(frozen=True)
@@ -28,36 +26,21 @@ class SbmSpec:
 
     def __post_init__(self):
         sizes = self.block_sizes
-        if (
-            not isinstance(sizes, (list, tuple, np.ndarray))
-            or len(sizes) == 0
-            or not all(is_integer(b) and b >= 1 for b in sizes)
-        ):
-            raise ValidationError(
-                f"block_sizes must be a non-empty list of integers >= 1, got {sizes!r}"
-            )
+        ok = isinstance(sizes, (list, tuple, np.ndarray)) and len(sizes) > 0
+        ok = ok and all(is_integer(b) and b >= 1 for b in sizes)
+        require("block_sizes", sizes, "a non-empty list of integers >= 1", ok)
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in sizes))
         for name in ("p_in", "p_out"):
             p = getattr(self, name)
-            if not (is_real(p) and 0.0 <= p <= 1.0):
-                raise ValidationError(f"{name} must be a real number in [0, 1], got {p!r}")
-        if not isinstance(self.directed, (bool, np.bool_)):
-            raise ValidationError(f"directed must be true or false, got {self.directed!r}")
-        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
-            raise ValidationError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+            require(name, p, "a real number in [0, 1]", is_real(p) and 0.0 <= p <= 1.0)
+        directed, seed = self.directed, self.rng_seed
+        require("directed", directed, "true or false", isinstance(directed, (bool, np.bool_)))
+        require("rng_seed", seed, "an integer >= 0", is_integer(seed) and seed >= 0)
 
     @classmethod
     def from_dict(cls, d) -> "SbmSpec":
         """The spec of a parsed YAML mapping, with every key checked."""
-        if not isinstance(d, Mapping):
-            raise ValidationError(f"an SBM spec must be a mapping of its parameters, got {d!r}")
-        allowed = [f.name for f in fields(cls)]
-        unknown = [k for k in d if k not in allowed]
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
-        if unknown or missing:
-            problem = f"unknown key(s) {unknown}" if unknown else f"missing key(s) {missing}"
-            raise ValidationError(f"SBM spec: {problem}; allowed: {allowed}")
-        return cls(**d)
+        return from_mapping(cls, d, "an SBM spec")
 
     @property
     def n(self) -> int:
@@ -172,8 +155,11 @@ def plant_attributes(
     Each node keeps its block-aligned label with probability ``1 - noise``
     and otherwise gets a uniformly random *other* label from ``labels``.
     """
-    if not 0.0 <= noise <= 1.0:
-        raise ValidationError("noise must lie in [0, 1]")
+    require("noise", noise, "a real number in [0, 1]", is_real(noise) and 0.0 <= noise <= 1.0)
+    ok = isinstance(labels, (list, tuple)) and all(map(is_label, labels))
+    ok = ok and len(set(labels)) == len(labels)
+    require("labels", labels, "a list of distinct strings or integers", ok)
+    require("rng_seed", rng_seed, "an integer >= 0", is_integer(rng_seed) and rng_seed >= 0)
     blocks = partition.categories
     if len(labels) < len(blocks):
         raise ValidationError(f"need at least {len(blocks)} labels, got {len(labels)}")

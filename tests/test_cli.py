@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -275,5 +276,128 @@ def test_experiment_run_bad_sbm_input_exits_with_message(tmp_path):
     r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path)])
     assert r.exit_code == 1
     assert "p_in must be a real number in [0, 1], got '0.2'" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
+def test_sample_passes_every_knob_to_the_config(tmp_path):
+    edges = write_edge_list(tmp_path)
+    out = tmp_path / "s"
+    r = CliRunner().invoke(cli, [
+        "sample", "--edge-list", str(edges), "--sampler", "tcec", "--size", "3",
+        "--seed-node", "1", "--rng-seed", "5", "--alpha", "0.3", "--exploration-p", "0.2",
+        "--leaderboard-capacity", "7", "--rw-init-fraction", "0.4", "--damping", "0.8",
+        "--rescore-on-pop", "--p", "1.5", "--q", "0.7", "--output", str(out),
+    ])
+    assert r.exit_code == 0, r.output
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert {k: config[k] for k in (
+        "target_size", "seed_nodes", "rng_seed", "alpha", "exploration_p",
+        "leaderboard_capacity", "rw_init_fraction", "damping", "rescore_on_pop",
+        "node2vec_p", "node2vec_q",
+    )} == {
+        "target_size": 3, "seed_nodes": [1], "rng_seed": 5, "alpha": 0.3, "exploration_p": 0.2,
+        "leaderboard_capacity": 7, "rw_init_fraction": 0.4, "damping": 0.8,
+        "rescore_on_pop": True, "node2vec_p": 1.5, "node2vec_q": 0.7,
+    }
+
+
+GOOD_SPEC = {
+    "kind": "community",
+    "input": {"sbm": SBM_YAML},
+    "samplers": [{"name": "rw"}],
+    "fractions": [0.2],
+    "repetitions": 1,
+}
+ATTRIBUTE_INPUT = {"sbm": SBM_YAML, "attributes": {"labels": ["a", "b"], "noise": 0.1}}
+
+# (what the case writes, the spec's changes or CLI arguments, the message); in a
+# spec, "DROP" leaves the key out and the upper-case names stand for paths
+BAD_INPUTS = [
+    ("yaml-sbm", "block_sizes: [30, 30\np_in: 0.2\n", "bad.yaml:2: expected ',' or ']'"),
+    ("yaml-spec", "kind: community\ninput: {sbm: [1\n", "bad.yaml:3: expected ',' or ']'"),
+    ("yaml-spec", "", "an experiment spec must be a mapping of its parameters, got None"),
+    ("yaml-spec", "kind: [community\n", "bad.yaml:2: expected ',' or ']'"),
+    ("yaml-spec", b"kind: community\nx: \xff\n", "bad.yaml:2: not valid UTF-8"),
+    ("yaml-spec", "kind: \x07\n", "bad.yaml: unacceptable character #x0007"),
+    ("spec", {"kind": "DROP"}, "missing key(s) ['kind']"),
+    ("spec", {"samplers": None}, "samplers must be a list, got None"),
+    ("spec", {"input": "sbm.yaml"},
+     "input must be a mapping naming an edge_list or an sbm, got 'sbm.yaml'"),
+    ("spec", {"input": {**ATTRIBUTE_INPUT, "attributes": {"labels": ["a", "b"], "noise": "x"}}},
+     "noise must be a real number in [0, 1], got 'x'"),
+    ("spec", {"input": {**ATTRIBUTE_INPUT, "attributes": {"labels": 3}}},
+     "labels must be a list of distinct strings or integers, got 3"),
+    ("spec", {"input": {**ATTRIBUTE_INPUT, "attributes": {"labels": ["a", "a"]}}},
+     "labels must be a list of distinct strings or integers, got ['a', 'a']"),
+    ("spec", {"input": {**ATTRIBUTE_INPUT, "attributes": {"labels": ["a", "b"], "nois": 0.1}}},
+     "attributes: unknown key(s) ['nois']"),
+    ("spec", {"input": {**ATTRIBUTE_INPUT, "attributes": {"noise": 0.1}}},
+     "attributes: missing key(s) ['labels']"),
+    ("spec", {"input": {"sbm": SBM_YAML, "attributs": {"labels": ["a", "b"]}}},
+     "an sbm input: unknown key(s) ['attributs']"),
+    ("spec", {"input": {"sbm": SBM_YAML, "directed": False}},
+     "an sbm input: unknown key(s) ['directed']"),
+    ("spec", {"input": {"edge_list": "EDGES", "directed": "no"}},
+     "directed must be true or false, got 'no'"),
+    ("spec", {"input": {"edge_list": "EDGES", "weighted": True}},
+     "an edge_list input: unknown key(s) ['weighted']"),
+    ("spec", {"input": {"edge_list": 5}}, "cannot read 5: "),
+    ("spec", {"input": {"edge_list": "MISSING"}}, "nope.txt: No such file or directory"),
+    ("spec", {"input": {"edge_list": "DIR"}}, "cannot read DIR: "),
+    ("spec", {"input": {"edge_list": "EDGES", "labels": "MISSING"}},
+     "nope.txt: No such file or directory"),
+    ("spec", {"input": {"edge_list": "EDGES", "labels": "DIR"}}, "cannot read DIR: "),
+    ("spec", {"input": {"edge_list": "EDGES", "labels": "BADLABELS"}},
+     "labels.txt:2: not valid UTF-8"),
+    ("spec", {"kind": "centrality_comparison", "measures": ["indegree"], "output_dir": 3},
+     "output_dir must be a directory path, got 3"),
+    ("spec", {"kind": "attribute", "input": ATTRIBUTE_INPUT, "seed_regions": [["a"]]},
+     "seed_regions entry must be a string or an integer, got ['a']"),
+    ("spec", {"kind": "attribute", "input": ATTRIBUTE_INPUT, "seed_regions": [{"a": 1}]},
+     "seed_regions entry must be a string or an integer, got {'a': 1}"),
+    ("spec", {"measures": [["indegree"]], "kind": "centrality_comparison"},
+     "unknown measure ['indegree']"),
+    ("spec", {"dataset": ["toy"]}, "dataset must be a string or a number, got ['toy']"),
+    ("args", ["--edge-list", "EDGES", "--fraction", "nan"],
+     "fraction must be a real number in (0, 1], got nan"),
+    ("args", ["--edge-list", "DIR", "--size", "2"], "cannot read DIR: "),
+]
+
+
+@pytest.mark.parametrize("kind, case, message", BAD_INPUTS)
+def test_bad_input_exits_with_one_line_message(tmp_path, kind, case, message):
+    paths = {
+        "EDGES": write_edge_list(tmp_path),
+        "MISSING": tmp_path / "nope.txt",
+        "DIR": tmp_path / "subdir",
+        "BADLABELS": tmp_path / "labels.txt",
+    }
+    paths["DIR"].mkdir()
+    paths["BADLABELS"].write_bytes(b"0\ta\n1\t\xff\n")
+
+    def fill(value):
+        if isinstance(value, dict):
+            return {k: fill(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [fill(v) for v in value]
+        return str(paths[value]) if isinstance(value, str) and value in paths else value
+
+    bad = tmp_path / "bad.yaml"
+    if kind == "args":
+        args = ["sample", *fill(case), "--sampler", "rw", "--output", str(tmp_path / "x")]
+    elif kind == "yaml-sbm":
+        bad.write_text(case)
+        args = ["sample", "--sbm", str(bad), "--sampler", "rw", "--size", "3",
+                "--output", str(tmp_path / "x")]
+    else:
+        if kind == "spec":
+            spec = {**GOOD_SPEC, "output_dir": str(tmp_path / "out"), **fill(case)}
+            case = yaml.safe_dump({k: v for k, v in spec.items() if v != "DROP"})
+        bad.write_bytes(case if isinstance(case, bytes) else case.encode())
+        args = ["experiment", "run", str(bad)]
+    r = CliRunner().invoke(cli, args)
+    assert r.exit_code == 1, r.output
+    assert message.replace("DIR", str(paths["DIR"])) in r.output
     assert "Traceback" not in r.output
     assert isinstance(r.exception, SystemExit)

@@ -1,13 +1,17 @@
+import copy
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsample import experiments
 from netsample.centrality import MEASURES, betweenness, pivot_sources
-from netsample.errors import ValidationError
+from netsample.errors import NetsampleError, ValidationError
 from netsample.experiments import (
     ExperimentSpec,
     RunResult,
@@ -173,16 +177,16 @@ def test_spec_yaml_round_trip(tmp_path):
 
 
 def test_load_input_variants(tmp_path):
-    g, part = load_input(small_spec())
+    g, part = load_input(small_spec().input)
     assert g.n == 140
     assert part is not None and part.label_of(0) == 0
     edge_path = tmp_path / "g.txt"
     edge_path.write_text("0 1\n1 2\n")
     spec = small_spec(input={"edge_list": str(edge_path), "directed": True})
-    g2, part2 = load_input(spec)
+    g2, part2 = load_input(spec.input)
     assert g2.n == 3 and part2 is None
     with pytest.raises(ValidationError):
-        load_input(small_spec(input={}))
+        load_input(small_spec(input={}).input)
 
 
 def test_rep_seeds_deterministic_and_distinct():
@@ -294,7 +298,7 @@ def test_aggregate_rows_handles_missing_values():
 def test_full_centrality_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("NETSAMPLE_CACHE_DIR", str(tmp_path / "cache"))
     spec = small_spec()
-    g, _ = load_input(spec)
+    g, _ = load_input(spec.input)
     v1 = full_centrality(g, "pagerank", spec, cache_root=str(tmp_path))
     cached = list((tmp_path / "cache").glob("pagerank-*.npy"))
     assert len(cached) == 1
@@ -378,3 +382,72 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "r1" / "summary.csv").read_bytes() == (
         tmp_path / "r2" / "summary.csv"
     ).read_bytes()
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.floats(-1, 2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=4),
+)
+DRAWN = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=4),
+    st.dictionaries(st.text(max_size=4), SCALARS, max_size=3),
+)
+
+
+def _key_paths(d, prefix=()):
+    """The path of every key in ``d``, into nested mappings and the first
+    sampler entry."""
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+        elif key == "samplers":
+            yield from _key_paths(value[0], prefix + (key, 0))
+
+
+def test_spec_and_input_either_work_or_raise_a_netsample_error(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\ta\n1\tb\n2\ta\n")
+    sbm_spec = {
+        "kind": "attribute",
+        "input": {
+            "sbm": {"block_sizes": [6, 7], "p_in": 0.5, "p_out": 0.1, "directed": True,
+                    "rng_seed": 3},
+            "attributes": {"labels": ["a", "b"], "noise": 0.1, "rng_seed": 4},
+        },
+        "samplers": [{"name": "tcec", "config": {"leaderboard_capacity": 10, "alpha": 0.3}}],
+        "fractions": [0.2],
+        "measures": ["indegree"],
+        "repetitions": 2,
+        "seed_regions": ["a"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    edge_spec = {
+        "kind": "community",
+        "input": {"edge_list": str(edges), "directed": False, "labels": str(labels)},
+        "samplers": [{"name": "node2vec", "config": {"node2vec_p": 1.0}}],
+        "seeds": [1, 2],
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        spec = copy.deepcopy(data.draw(st.sampled_from([sbm_spec, edge_spec])))
+        path = data.draw(st.sampled_from(sorted(_key_paths(spec), key=str)))
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(DRAWN)
+        try:
+            load_input(ExperimentSpec.from_dict(spec).input)
+        except NetsampleError:
+            pass
+
+    check()

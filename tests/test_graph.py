@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,3 +526,17 @@ def test_partition_with_integer_labels():
     part = LabeledPartition({0: 1, 1: 0, 2: 1})
     assert part.categories == [0, 1]
     assert part.labels_for([0, 1, 5]) == [1, 0, "unknown"]
+
+
+def test_core_modules_import_nothing_from_samplers():
+    root = Path(graph.__file__).parent
+    for name in ("graph", "synth", "centrality", "metrics", "errors"):
+        tree = ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for a in node.names for p in a.name.split(".")]
+            else:
+                continue
+            assert "samplers" not in parts, f"{name}.py: {ast.unparse(node)}"
