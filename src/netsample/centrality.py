@@ -123,6 +123,7 @@ def pivot_sources(n: int, count: int, seed: int) -> list[int]:
     """``min(count, n)`` distinct pivot nodes drawn uniformly, in ascending order."""
     if count < 1:
         raise ValidationError(f"pivot count must be >= 1, got {count}")
+    require("pivot seed", seed, "an integer >= 0", is_integer(seed) and seed >= 0)
     rng = np.random.default_rng(seed)
     return sorted(int(v) for v in rng.choice(n, size=min(count, n), replace=False))
 
@@ -232,8 +233,9 @@ def springrank(g: Graph, reg: float = 1.0, tol: float = 1e-10, max_iter: int | N
     if max_iter is not None:
         require("max_iter", max_iter, "an integer >= 1", is_integer(max_iter) and max_iter >= 1)
     n = g.n
-    w = g.to_scipy() + g.to_scipy_transpose()
-    op = reg * sp.identity(n, format="csr") + sp.diags(g.out_strength + g.in_strength) - w
+    # A + A^T is a temporary of the expression, freed before CG runs
+    op = reg * sp.identity(n, format="csr") + sp.diags(g.out_strength + g.in_strength)
+    op = op - (g.to_scipy() + g.to_scipy_transpose())
     rhs = g.out_strength - g.in_strength
     if not np.any(rhs):
         return CentralityVector(np.zeros(n), "springrank", 0, 0.0, converged=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -506,20 +507,35 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 # -- report merging ---------------------------------------------------
 
 
+# each parsed raw.csv column: its parser and what a cell must be
+_RAW_CELLS = {
+    "fraction": (float, "a number"),
+    "repetition": (int, "an integer"),
+    "rng_seed": (int, "an integer"),
+    "value": (lambda text: float(text) if text else None, "a number or empty"),
+}
+
+
 def read_raw_csv(path) -> list:
+    """The rows of a ``raw.csv``; a bad header, row or cell is a
+    ``ValidationError`` that names the file and the line."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RAW_HEADER:
-            raise ValidationError(f"{path}: unexpected schema {header}")
-        for rec in reader:
-            row = dict(zip(RAW_HEADER, rec))
-            row["fraction"] = float(row["fraction"])
-            row["repetition"] = int(row["repetition"])
-            row["rng_seed"] = int(row["rng_seed"])
-            row["value"] = float(row["value"]) if row["value"] != "" else None
-            rows.append(row)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != RAW_HEADER:
+        raise ValidationError(f"{path}: unexpected schema {header}")
+    for rec in reader:
+        if len(rec) != len(RAW_HEADER):
+            message = f"expected {len(RAW_HEADER)} fields, got {len(rec)}"
+            raise ParseError(message, path, reader.line_num)
+        row = dict(zip(RAW_HEADER, rec))
+        for column, (parse, what) in _RAW_CELLS.items():
+            try:
+                row[column] = parse(row[column])
+            except ValueError:
+                message = f"{column} must be {what}, got {row[column]!r}"
+                raise ParseError(message, path, reader.line_num) from None
+        rows.append(row)
     return rows
 
 
@@ -536,5 +552,5 @@ def merge_results(results_dir) -> tuple[list, list]:
         except ValidationError as exc:
             bad.append(str(exc))
     if bad:
-        raise ValidationError("schema mismatch:\n" + "\n".join(bad))
+        raise ValidationError("cannot merge:\n" + "\n".join(bad))
     return rows, aggregate_rows(rows)

@@ -32,16 +32,28 @@ def _merge_parallel(n, src, dst, w):
     """Sort edges by (src, dst) and merge parallel edges by weight sum.
 
     A stable sort of ``src * n + dst`` gives the order of ``lexsort((dst,
-    src))``, so each pair's weights are summed in input order.
+    src))``, so each pair's weights are summed in input order. Edges already
+    in strictly increasing key order (a saved edge list, a one-block directed
+    SBM) skip the sort. The returned ``dst`` and ``w`` are never the caller's
+    arrays.
     """
     key = src * n + dst
+    if np.all(key[1:] > key[:-1]):
+        del key
+        # + 0.0 makes a -0.0 weight 0.0, as the bincount's sum does
+        return src, dst.copy(), w + 0.0
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
+    del key
+    group = np.cumsum(first)
+    group -= 1
     # astype keeps float64 when there are no edges
-    w = np.bincount(np.cumsum(first) - 1, weights=w[order]).astype(np.float64)
+    w = np.bincount(group, weights=w[order]).astype(np.float64, copy=False)
+    del group
     kept = order[first]
+    del order, first
     return src[kept], dst[kept], w
 
 
@@ -121,12 +133,13 @@ class Graph:
         if not directed:
             # orient every edge low -> high first, so that both directions of a
             # pair merge the same weights in the same order
-            src, dst = np.minimum(src, dst), np.maximum(src, dst)
-            loop = src == dst
-            src2 = np.concatenate([src, dst[~loop]])
-            dst2 = np.concatenate([dst, src[~loop]])
-            w2 = np.concatenate([w, w[~loop]])
-            return cls(n, src2, dst2, w2, directed=False)
+            lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+            mirror = lo != hi  # self-loops are stored once
+            src = np.concatenate([lo, hi[mirror]])
+            dst = np.concatenate([hi, lo[mirror]])
+            del lo, hi
+            w = np.concatenate([w, w[mirror]])
+            return cls(n, src, dst, w, directed=False)
         return cls(n, src, dst, w, directed=True)
 
     # -- neighbor queries ---------------------------------------------
@@ -234,10 +247,12 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     graphs each edge is materialized in both directions.
     """
     require("directed", directed, "true or false", isinstance(directed, (bool, np.bool_)))
-    cols = _parse_columns(path)
-    src, dst, w = cols if cols is not None else _scan_lines(path)
-    ids, dense = _dense_ids(np.concatenate([src, dst]))
-    g = Graph.from_arrays(ids.size, dense[: src.size], dense[src.size :], w, directed)
+    cols = _parse_columns(path) or _scan_lines(path)
+    m, w = cols[0].size, cols[2]
+    ends = np.concatenate(cols[:2])
+    del cols  # frees the parsed rows
+    ids, ends = _dense_ids(ends)
+    g = Graph.from_arrays(ids.size, ends[:m], ends[m:], w, directed)
     return g, NodeMapping(sub_to_full=ids)
 
 
@@ -256,7 +271,9 @@ def _dense_ids(ids):
             ids -= lo
             present = np.zeros(span + 1, dtype=bool)
             present[ids] = True
-            return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[ids]
+            rank = np.cumsum(present)
+            rank -= 1
+            return np.flatnonzero(present) + lo, rank[ids]
     return np.unique(ids, return_inverse=True)
 
 
@@ -270,8 +287,10 @@ def _parse_columns(path):
     UTF-8), return None and are left to ``_scan_lines``.
     """
     data = _read_bytes(path)
-    if data.count(b"\r") != data.count(b"\r\n") or not _hashes_begin_comments(data):
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if lone_cr or not _hashes_begin_comments(data):
         return None
+    del data  # loadtxt reads the file itself
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for dtype in (_PAIR, _TRIPLE):
@@ -279,7 +298,8 @@ def _parse_columns(path):
                 rows = np.loadtxt(path, dtype=dtype, comments="#", encoding="utf-8", ndmin=1)
             except ValueError:
                 continue
-            w = rows["w"] if dtype is _TRIPLE else np.ones(rows.size)
+            # a copy of the weights, so that the rows can be freed
+            w = rows["w"].copy() if dtype is _TRIPLE else np.broadcast_to(1.0, rows.shape)
             if not (np.all(np.isfinite(w)) and np.all(w >= 0)):
                 return None
             return rows["src"], rows["dst"], w

@@ -54,6 +54,7 @@ class SamplerConfig:
         for name in self.INT_FIELDS:
             value = getattr(self, name)
             require(name, value, "an integer", is_integer(value))
+        require("rng_seed", self.rng_seed, "an integer >= 0", self.rng_seed >= 0)
         for name in self.REAL_FIELDS:
             value = getattr(self, name)
             ok = is_real(value) or (name == "alpha" and value is None)

@@ -61,15 +61,17 @@ def _bernoulli_positions(count: int, p: float, rng: np.random.Generator) -> np.n
     total = -1  # last emitted position
     est = int(count * p + 10.0 * np.sqrt(count * p) + 10.0)
     while True:
-        gaps = rng.geometric(p, size=est)
-        pos = total + np.cumsum(gaps)
+        pos = rng.geometric(p, size=est)
+        pos[0] += total
+        np.cumsum(pos, out=pos)
         chunks.append(pos)
         total = int(pos[-1])
         if total >= count - 1:
             break
         est = max(16, int((count - 1 - total) * p) + 16)
-    pos = np.concatenate(chunks)
-    return pos[pos < count]
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    # positions strictly increase, so those below count are a prefix
+    return pos[: np.searchsorted(pos, count)]
 
 
 def _triangle_unrank(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,24 +81,21 @@ def _triangle_unrank(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * kk)) / 2.0).astype(np.int64)
     # guard against float rounding at row boundaries
     for _ in range(2):
-        start = i * (2 * n - i - 1) // 2
-        i = np.where(start > k, i - 1, i)
-        end = (i + 1) * (2 * n - i - 2) // 2
-        i = np.where(k >= end, i + 1, i)
-    start = i * (2 * n - i - 1) // 2
-    j = k - start + i + 1
+        i -= i * (2 * n - i - 1) // 2 > k
+        i += k >= (i + 1) * (2 * n - i - 2) // 2
+    j = k - i * (2 * n - i - 1) // 2
+    j += i + 1
     return i, j
 
 
 def _rect_unrank(k: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    return k // ncols, k % ncols
+    return np.divmod(k, ncols)
 
 
 def _offdiag_unrank(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map flat indices over ordered non-diagonal pairs of 0..n-1 to (i, j)."""
-    i = k // (n - 1)
-    j = k % (n - 1)
-    j = j + (j >= i)
+    i, j = np.divmod(k, n - 1)
+    j += j >= i
     return i, j
 
 
@@ -113,32 +112,36 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, LabeledPartition]:
     rng = np.random.default_rng(spec.rng_seed)
     offsets = np.concatenate([[0], np.cumsum(spec.block_sizes)])
     src_parts, dst_parts = [], []
+
+    def add(pairs, a, b):
+        """Shift block-local pairs of blocks a and b to node ids, in place."""
+        i, j = pairs
+        i += offsets[a]
+        j += offsets[b]
+        src_parts.append(i)
+        dst_parts.append(j)
+
     nblocks = len(spec.block_sizes)
     for a in range(nblocks):
         na = spec.block_sizes[a]
-        # within-block edges
+        # within-block edges; no name here holds a part or its positions
+        ordered = na * (na - 1)
         if spec.directed:
-            pos = _bernoulli_positions(na * (na - 1), spec.p_in, rng)
-            i, j = _offdiag_unrank(pos, na)
-            src_parts.append(i + offsets[a])
-            dst_parts.append(j + offsets[a])
+            add(_offdiag_unrank(_bernoulli_positions(ordered, spec.p_in, rng), na), a, a)
         else:
-            pos = _bernoulli_positions(na * (na - 1) // 2, spec.p_in, rng)
-            i, j = _triangle_unrank(pos, na)
-            src_parts.append(i + offsets[a])
-            dst_parts.append(j + offsets[a])
+            add(_triangle_unrank(_bernoulli_positions(ordered // 2, spec.p_in, rng), na), a, a)
         # cross-block edges
         for b in range(nblocks):
             if b == a or (not spec.directed and b < a):
                 continue
             nb = spec.block_sizes[b]
-            pos = _bernoulli_positions(na * nb, spec.p_out, rng)
-            i, j = _rect_unrank(pos, nb)
-            src_parts.append(i + offsets[a])
-            dst_parts.append(j + offsets[b])
-    src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
-    g = Graph.from_arrays(n, src, dst, np.ones(src.size), directed=spec.directed)
+            add(_rect_unrank(_bernoulli_positions(na * nb, spec.p_out, rng), nb), a, b)
+    src = np.concatenate(src_parts) if len(src_parts) > 1 else src_parts[0]
+    dst = np.concatenate(dst_parts) if len(dst_parts) > 1 else dst_parts[0]
+    del src_parts, dst_parts  # so that the parts are freed before the build
+    # unit weights as a read-only view, with no array of ones behind it
+    g = Graph.from_arrays(n, src, dst, np.broadcast_to(1.0, src.shape), directed=spec.directed)
+    del src, dst  # before the partition is built
     blocks = np.repeat(np.arange(nblocks), spec.block_sizes)
     partition = LabeledPartition(dict(enumerate(blocks.tolist())))
     return g, partition

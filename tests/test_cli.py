@@ -362,6 +362,10 @@ BAD_INPUTS = [
     ("args", ["--edge-list", "EDGES", "--fraction", "nan"],
      "fraction must be a real number in (0, 1], got nan"),
     ("args", ["--edge-list", "DIR", "--size", "2"], "cannot read DIR: "),
+    ("args", ["--edge-list", "EDGES", "--size", "2", "--rng-seed", "-1"],
+     "rng_seed must be an integer >= 0, got -1"),
+    ("cmd", ["centrality", "--edge-list", "EDGES", "--measure", "betweenness", "--approximate",
+             "--pivot-seed", "-1"], "pivot seed must be an integer >= 0, got -1"),
 ]
 
 
@@ -386,6 +390,8 @@ def test_bad_input_exits_with_one_line_message(tmp_path, kind, case, message):
     bad = tmp_path / "bad.yaml"
     if kind == "args":
         args = ["sample", *fill(case), "--sampler", "rw", "--output", str(tmp_path / "x")]
+    elif kind == "cmd":
+        args = [*fill(case), "--output", str(tmp_path / "x")]
     elif kind == "yaml-sbm":
         bad.write_text(case)
         args = ["sample", "--sbm", str(bad), "--sampler", "rw", "--size", "3",
@@ -401,3 +407,25 @@ def test_bad_input_exits_with_one_line_message(tmp_path, kind, case, message):
     assert message.replace("DIR", str(paths["DIR"])) in r.output
     assert "Traceback" not in r.output
     assert isinstance(r.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("toy,rw,x,indegree,0,1,0.5", "raw.csv:3: fraction must be a number, got 'x'"),
+        ("toy,rw,0.1,indegree,0.5,1,", "raw.csv:3: repetition must be an integer, got '0.5'"),
+        ("toy,rw,0.1,indegree,0,-,0.5", "raw.csv:3: rng_seed must be an integer, got '-'"),
+        ("toy,rw,0.1,indegree,0,1,high", "raw.csv:3: value must be a number or empty, got 'high'"),
+        ("toy,rw,0.1", "raw.csv:3: expected 7 fields, got 3"),
+    ],
+)
+def test_report_names_a_bad_raw_csv_cell(tmp_path, row, message):
+    run_dir = tmp_path / "results" / "run"
+    run_dir.mkdir(parents=True)
+    header = "dataset,sampler,fraction,measure,repetition,rng_seed,value"
+    (run_dir / "raw.csv").write_text(f"{header}\ntoy,rw,0.1,indegree,0,1,0.5\n{row}\n")
+    args = ["report", str(tmp_path / "results"), "--output-dir", str(tmp_path / "report")]
+    r = CliRunner().invoke(cli, args)
+    assert r.exit_code == 1, r.output
+    assert message in r.output
+    assert "Traceback" not in r.output

@@ -20,6 +20,7 @@ from netsample.graph import (
     load_labels,
     save_edge_list,
 )
+from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
     assert_bitwise_equal,
@@ -110,6 +111,29 @@ def test_build_bitwise_equals_lexsort_reference(rng):
                     g = Graph.from_arrays(n, src, dst, w, directed=directed)
                     want = reference_graph_arrays(n, src, dst, w, directed)
                     assert_bitwise_equal(graph_arrays(g), want)
+    # distinct (src, dst) pairs in increasing order, as a saved edge list holds
+    # them, skip the build's sort; the draws above are not in that order
+    for directed in (True, False):
+        for n in (1, 2, 7, 40):
+            key = np.unique(np.concatenate([[0, n * n - 1], rng.integers(0, n * n, 4 * n)]))
+            src, dst = np.divmod(key, n)  # (0, 0) and (n - 1, n - 1) are self-loops
+            w = rng.random(key.size)
+            w[rng.integers(0, key.size)] = -0.0
+            g = Graph.from_arrays(n, src, dst, w, directed=directed)
+            want = reference_graph_arrays(n, src, dst, w, directed)
+            assert_bitwise_equal(graph_arrays(g), want)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]], ids=["sorted", "shuffled"])
+def test_graph_holds_no_view_of_the_callers_arrays(directed, order):
+    src = np.array([0, 0, 1, 2, 2])[order]
+    dst = np.array([1, 2, 2, 0, 2])[order]
+    w = np.array([0.5, 1.0, 2.0, 3.0, 4.0])[order]
+    g = Graph.from_arrays(3, src, dst, w, directed=directed)
+    want = {k: v.copy() for k, v in graph_arrays(g).items()}
+    src[:], dst[:], w[:] = 1, 0, 9.0
+    assert_bitwise_equal(graph_arrays(g), want)
 
 
 def test_validation_rejects_bad_edges():
@@ -288,6 +312,30 @@ def test_save_edge_list_memory_is_flat_in_the_edge_count(tmp_path, monkeypatch):
     # a block's buffers are a few times block * 8 bytes; one array over all
     # edges (8 * num_edges) would exceed the margin by far
     assert save - arrays < 16 * block * 8, (save, arrays)
+
+
+def test_build_and_load_peaks_stay_near_the_graphs_size(tmp_path):
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def size(g):
+        return sum(a.nbytes for a in graph_arrays(g).values())
+
+    spec = SbmSpec((20_000,), 5e-4, 0.0, directed=True, rng_seed=0)
+    (g, _), sbm_peak = traced_peak(lambda: generate_sbm(spec))
+    assert g.num_edges > 190_000
+    save_edge_list(g, tmp_path / "g.txt")
+    (loaded, _), load_peak = traced_peak(lambda: load_edge_list(tmp_path / "g.txt", True))
+    # beside the graph, a build needs little more than its input's src and dst
+    # (16 of the graph's 32 bytes per edge); sorting presorted edges, copying
+    # them and keeping the parsed rows alive took 3.2x and 2.6x
+    assert sbm_peak < 2.0 * size(g), sbm_peak / size(g)
+    assert load_peak < 2.0 * size(loaded), load_peak / size(loaded)
 
 
 def test_parse_error_carries_location(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,33 @@ def test_sbm_deterministic():
     g2, p2 = generate_sbm(spec)
     assert np.array_equal(dense_adjacency(g1), dense_adjacency(g2))
     assert p1.assignments == p2.assignments
+
+
+# sha256 of out_indptr, out_dst, out_w and the block labels, recorded before
+# the generator worked in place and the build skipped sorting presorted edges
+SBM_DIGESTS = [
+    ((400,), 0.03, 0.0, True, 5,
+     "40bf8b6c6dee739a65af9cf8dc4ae8bc72ef049a535738060a2e3d90f6b4c177"),
+    ((100, 150, 200), 0.05, 0.01, True, 1,
+     "a607c43fadeec03e421d9ebff17c554d7c119f3fa54c506a64537cc6fd519b6d"),
+    ((100, 150, 200), 0.05, 0.01, False, 2,
+     "c729aaa756c037c5d09fbc1b3960570bcc0b9c89ade927307273386defa25dc7"),
+    ((40, 30), 1.0, 0.2, True, 3,
+     "dacaa989b8e8f0c6d8ba5dba110388a86ac0b098b713413fac210fe7d9030c77"),
+    ((40, 30), 1.0, 0.2, False, 4,
+     "18ceb366934f6648f45293f0c9c1829494a10ebb7d73e18823cc2071e3992728"),
+]
+
+
+@pytest.mark.parametrize("sizes, p_in, p_out, directed, seed, digest", SBM_DIGESTS)
+def test_sbm_output_is_pinned(sizes, p_in, p_out, directed, seed, digest):
+    g, partition = generate_sbm(SbmSpec(sizes, p_in, p_out, directed=directed, rng_seed=seed))
+    h = hashlib.sha256()
+    for a in (g._out_indptr, g._out_dst, g._out_w):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    h.update(json.dumps(partition.labels_for(range(g.n))).encode())
+    assert h.hexdigest() == digest
 
 
 def test_sbm_degenerate_probabilities_give_disjoint_cliques():
