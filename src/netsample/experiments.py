@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -175,8 +174,8 @@ def load_input(inp) -> tuple[Graph, LabeledPartition | None]:
     mapping: ``{edge_list, directed, labels}`` or ``{sbm, attributes}``."""
     if isinstance(inp, Mapping) and "edge_list" in inp:
         inp = checked_keys(inp, "an edge_list input", ("edge_list",), ("directed", "labels"))
-        g, _ = load_edge_list(inp["edge_list"], directed=inp.get("directed", True))
-        return g, load_labels(inp["labels"]) if "labels" in inp else None
+        g, mapping = load_edge_list(inp["edge_list"], directed=inp.get("directed", True))
+        return g, load_labels(inp["labels"], mapping) if "labels" in inp else None
     if isinstance(inp, Mapping) and "sbm" in inp:
         inp = checked_keys(inp, "an sbm input", ("sbm",), ("attributes",))
         sbm = SbmSpec.from_dict(inp["sbm"])
@@ -199,23 +198,23 @@ def _rep_seeds(spec: ExperimentSpec, cell: tuple, rep: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _seed_pool(spec: ExperimentSpec, partition: LabeledPartition | None, region) -> list | None:
+def _seed_pool(spec: ExperimentSpec, partition: LabeledPartition | None, region):
     """The sorted nodes a seed node of ``region`` is drawn from; ``None``
     means every node."""
-    if region is None and spec.seed_policy == "smallest_block":
-        if partition is None:
+    if region is not None:
+        code = partition.categories.index(region)
+    elif spec.seed_policy == "smallest_block":
+        if partition is None or not partition.categories:
             raise ValidationError("smallest_block seed policy needs labels")
-        sizes = Counter(partition.assignments.values())
-        region = min(sorted(sizes, key=str), key=lambda lab: sizes[lab])
-    if region is None:
+        sizes = np.bincount(partition.codes + 1, minlength=len(partition.categories) + 1)[1:]
+        # the first by str of the smallest blocks
+        code = min(np.flatnonzero(sizes == sizes.min()), key=lambda k: str(partition.categories[k]))
+    else:
         return None
-    pool = sorted(v for v, lab in partition.assignments.items() if lab == region)
-    if not pool:
-        raise ValidationError(f"seed region {region!r} absent from labels")
-    return pool
+    return np.flatnonzero(partition.codes == code)
 
 
-def _pick_seed_node(pool: list | None, n: int, rng: np.random.Generator) -> int:
+def _pick_seed_node(pool: np.ndarray | None, n: int, rng: np.random.Generator) -> int:
     if pool is None:
         return int(rng.integers(n))
     return int(pool[int(rng.integers(len(pool)))])
@@ -419,11 +418,11 @@ def _community_study(spec: ExperimentSpec, g: Graph, partition):
     the seed node's block."""
     if partition is None:
         raise ValidationError("community experiment needs a labeled input")
-    full_hist = label_histogram(range(g.n), partition)
+    full_hist = label_histogram(np.arange(g.n), partition)
 
     def measure(sample, seed_node, region) -> dict:
-        seed_block = partition.label_of(seed_node)
-        in_seed = sum(1 for v in sample.nodes if partition.label_of(v) == seed_block)
+        labels = partition.names[partition.codes_of(sample.nodes)]
+        in_seed = np.count_nonzero(labels == partition.label_of(seed_node))
         return {
             "kl": kl_divergence(full_hist, label_histogram(sample.nodes, partition)),
             "seed_block_fraction": in_seed / len(sample.nodes),
@@ -440,19 +439,19 @@ def _attribute_study(spec: ExperimentSpec, g: Graph, partition):
         raise ValidationError("attribute experiment needs labeled input")
     if not spec.seed_regions:
         raise ValidationError("attribute experiment needs seed_regions")
-    present = set(partition.assignments.values())
     for region in spec.seed_regions:
-        if region not in present:
-            raise ValidationError(f"seed region {region!r} absent from labels")
-    full_hist = label_histogram(range(g.n), partition)
-    full_labels = partition.labels_for(range(g.n))
+        if region not in partition.categories:
+            raise ValidationError(f"seed region {region!r} absent from labels {partition.categories}")
+    full_hist = label_histogram(np.arange(g.n), partition)
+    full_labels = partition.names[partition.codes]
 
     def names(region) -> tuple:
         return f"kl:{region}", f"entropy_ratio:{region}"
 
     def measure(sample, seed_node, region) -> dict:
         kl = kl_divergence(full_hist, label_histogram(sample.nodes, partition))
-        ratio = entropy_ratio(partition.labels_for(sample.nodes), full_labels, region)
+        labels = partition.names[partition.codes_of(sample.nodes)]
+        ratio = entropy_ratio(labels, full_labels, region)
         return dict(zip(names(region), (kl, ratio)))
 
     return spec.seed_regions, names, measure

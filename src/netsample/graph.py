@@ -12,7 +12,7 @@ import io
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterable
 
@@ -193,10 +193,6 @@ class NodeMapping:
 
     sub_to_full: np.ndarray
 
-    @property
-    def full_to_sub(self) -> dict:
-        return {int(f): s for s, f in enumerate(self.sub_to_full)}
-
     def to_full(self, sub_ids):
         return self.sub_to_full[np.asarray(sub_ids, dtype=np.int64)]
 
@@ -204,32 +200,48 @@ class NodeMapping:
         return len(self.sub_to_full)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabeledPartition:
-    """Node -> categorical label map (SBM block or attribute region).
+    """A categorical label (SBM block or attribute region) per dense node id.
 
-    Nodes absent from ``assignments`` carry the reserved ``unknown`` label so
-    attribute metrics can always be computed over full samples.
+    ``codes[v]`` indexes ``categories`` (in natural order, else by ``str``);
+    -1 marks an unlabelled node, which reads as the reserved ``unknown`` label.
     """
 
-    assignments: dict[int, Hashable] = field(default_factory=dict)
+    codes: np.ndarray
+    categories: tuple
 
-    def label_of(self, node: int) -> Hashable:
-        return self.assignments.get(int(node), UNKNOWN_LABEL)
-
-    def labels_for(self, nodes) -> list:
-        return [self.label_of(i) for i in nodes]
+    @classmethod
+    def from_labels(cls, n: int, nodes, labels) -> "LabeledPartition":
+        """Nodes ``0..n-1`` with ``labels[i]`` on ``nodes[i]``; the rest are unlabelled."""
+        try:
+            cats = tuple(sorted(set(labels)))
+        except TypeError:
+            cats = tuple(sorted(set(labels), key=str))
+        code = {c: k for k, c in enumerate(cats)}
+        codes = np.full(n, -1, dtype=np.int32)
+        codes[np.asarray(nodes, dtype=np.int64)] = [code[lab] for lab in labels]
+        return cls(codes, cats)
 
     @property
-    def categories(self) -> list:
-        cats = set(self.assignments.values())
-        try:
-            return sorted(cats)
-        except TypeError:
-            return sorted(cats, key=str)
+    def names(self) -> np.ndarray:
+        """The label each code reads as, ``unknown`` last for code -1."""
+        return np.array([*self.categories, UNKNOWN_LABEL], dtype=object)
 
-    def __len__(self):
-        return len(self.assignments)
+    def codes_of(self, nodes) -> np.ndarray:
+        """The codes of ``nodes``; an id outside ``0..n-1`` is a ``ValidationError``."""
+        idx = np.asarray(nodes)
+        if not idx.size:
+            return self.codes[:0]
+        if idx.dtype.kind not in "iu":
+            raise ValidationError(f"node ids must be integers, got dtype {idx.dtype}")
+        bad = (idx < 0) | (idx >= self.codes.size)
+        if bad.any():
+            raise ValidationError(f"node id {idx[bad][0]} not in 0..{self.codes.size - 1}")
+        return self.codes[idx]
+
+    def label_of(self, node: int) -> Hashable:
+        return self.names[self.codes_of([node])[0]]
 
 
 _PAIR = np.dtype([("src", np.int64), ("dst", np.int64)])
@@ -440,12 +452,14 @@ def _decimal(ids) -> np.ndarray:
     return out
 
 
-def load_labels(path) -> LabeledPartition:
-    """Read a ``node_id<TAB>label`` file into a partition.
+def load_labels(path, mapping: NodeMapping) -> LabeledPartition:
+    """Read a ``node_id<TAB>label`` file, keyed by the edge list's own ids,
+    into a partition over the dense ids of ``mapping``.
 
-    Consistent duplicates are allowed; conflicting duplicates are an error.
+    Consistent duplicates are allowed; conflicting duplicates and ids absent
+    from the edge list are errors.
     """
-    assignments: dict[int, str] = {}
+    ids, labels, lines = [], [], []
     for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         if not line.strip():
             continue
@@ -453,17 +467,31 @@ def load_labels(path) -> LabeledPartition:
         if len(parts) != 2:
             raise ParseError("expected 'id<TAB>label'", path, line_no)
         try:
-            node = int(parts[0])
-        except ValueError:
-            raise ParseError("non-integer node id", path, line_no) from None
-        label = parts[1]
-        if node in assignments and assignments[node] != label:
-            raise ValidationError(
-                f"{path}:{line_no}: node {node} relabeled "
-                f"{assignments[node]!r} -> {label!r}"
-            )
-        assignments[node] = label
-    return LabeledPartition(assignments=assignments)
+            ids.append(np.int64(parts[0]))
+        except (ValueError, OverflowError):
+            raise ParseError("expected an int64 node id", path, line_no) from None
+        labels.append(parts[1])
+        lines.append(line_no)
+    dense, found = sorted_lookup(mapping.sub_to_full, np.asarray(ids, dtype=np.int64))
+    if not found.all():
+        i = np.argmin(found)
+        raise ValidationError(f"{path}:{lines[i]}: node {ids[i]} is not in the edge list")
+    labels = np.array(labels, dtype=object)
+    _, first, node_of = np.unique(dense, return_index=True, return_inverse=True)
+    was = labels[first[node_of]]  # each line's node's first label
+    clash = np.flatnonzero(was != labels)
+    if clash.size:
+        i = clash[0]
+        msg = f"node {ids[i]} relabeled {was[i]!r} -> {labels[i]!r}"
+        raise ValidationError(f"{path}:{lines[i]}: {msg}")
+    return LabeledPartition.from_labels(len(mapping), dense, labels)
+
+
+def sorted_lookup(sorted_ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``x`` sits in the ascending, distinct ``sorted_ids``:
+    ``(position, found)``; a position is meaningful only where found."""
+    pos = np.searchsorted(sorted_ids, x)
+    return pos, np.searchsorted(sorted_ids, x, side="right") > pos
 
 
 def csr_rows(indptr, rows):

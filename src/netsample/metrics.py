@@ -140,16 +140,16 @@ def entropy_ratio(sample_labels, full_labels, seed_region) -> float:
     sample, below 1 under-representation. A sample frequency of exactly 0 or
     1 makes the ratio degenerate; 0 is returned with a warning.
     """
-    sample_labels = list(sample_labels)
-    full_labels = list(full_labels)
-    if not sample_labels or not full_labels:
+    sample_labels = np.asarray(sample_labels, dtype=object)
+    full_labels = np.asarray(full_labels, dtype=object)
+    if not sample_labels.size or not full_labels.size:
         raise ValidationError("empty label multiset")
-    p_full = sum(1 for lab in full_labels if lab == seed_region) / len(full_labels)
+    p_full = np.count_nonzero(full_labels == seed_region) / full_labels.size
     if not 0.0 < p_full < 1.0:
         raise ValidationError(
             f"seed region {seed_region!r} has degenerate full-graph frequency {p_full}"
         )
-    p_sample = sum(1 for lab in sample_labels if lab == seed_region) / len(sample_labels)
+    p_sample = np.count_nonzero(sample_labels == seed_region) / sample_labels.size
     if p_sample <= 0.0 or p_sample >= 1.0:
         warnings.warn(
             f"seed region frequency {p_sample} in sample; entropy ratio degenerate",
@@ -163,16 +163,17 @@ def label_histogram(nodes, partition: LabeledPartition) -> CategoricalDistributi
     """Empirical label frequencies over the partition's label set.
 
     Zero-count labels are retained; the reserved unknown label appears only
-    when some queried node is missing from the partition.
+    when some queried node is unlabelled, and shares one bin with a category
+    of that name.
     """
-    nodes = list(nodes)
-    if not nodes:
+    codes = partition.codes_of(nodes)
+    if not codes.size:
         raise ValidationError("empty node set")
-    labels = partition.labels_for(nodes)
-    cats = list(partition.categories)
-    if any(lab == UNKNOWN_LABEL for lab in labels) and UNKNOWN_LABEL not in cats:
-        cats.append(UNKNOWN_LABEL)
-    counts = {c: 0 for c in cats}
-    for lab in labels:
-        counts[lab] += 1
-    return CategoricalDistribution.from_counts(cats, [counts[c] for c in cats])
+    cats = partition.categories
+    counts = np.bincount(codes + 1, minlength=len(cats) + 1)
+    unknown, counts = counts[0], counts[1:]
+    if unknown and UNKNOWN_LABEL in cats:
+        counts[cats.index(UNKNOWN_LABEL)] += unknown
+    elif unknown:
+        cats, counts = cats + (UNKNOWN_LABEL,), np.append(counts, unknown)
+    return CategoricalDistribution.from_counts(cats, counts)

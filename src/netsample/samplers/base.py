@@ -276,13 +276,6 @@ def neighborhood(g, node: int) -> np.ndarray:
     return both[keep]
 
 
-def sorted_lookup(sorted_ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``x`` sits in the ascending, distinct ``sorted_ids``:
-    ``(position, found)``; a position is meaningful only where found."""
-    pos = np.searchsorted(sorted_ids, x)
-    return pos, np.searchsorted(sorted_ids, x, side="right") > pos
-
-
 def uniform_step(g, rng, prev, current):
     """The uniform random walk's step: a uniformly chosen out-neighbor."""
     out_idx, _ = g.out_neighbors(current)

@@ -7,14 +7,13 @@ import heapq
 import numpy as np
 
 from ..errors import PartialSampleError
-from ..graph import csr_rows
+from ..graph import csr_rows, sorted_lookup
 from .base import (
     STEP_BUDGET_FACTOR,
     SampleResult,
     SamplerConfig,
     neighborhood,
     pick_seed,
-    sorted_lookup,
     uniform_step,
     walk_until_new,
 )

@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DanglingCandidateError, ValidationError
-from .base import SampleResult, SamplerConfig, SampleState, run_criterion_crawl, sorted_lookup
+from ..graph import sorted_lookup
+from .base import SampleResult, SamplerConfig, SampleState, run_criterion_crawl
 
 
 def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.ndarray) -> None:

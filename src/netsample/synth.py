@@ -142,9 +142,8 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, LabeledPartition]:
     # unit weights as a read-only view, with no array of ones behind it
     g = Graph.from_arrays(n, src, dst, np.broadcast_to(1.0, src.shape), directed=spec.directed)
     del src, dst  # before the partition is built
-    blocks = np.repeat(np.arange(nblocks), spec.block_sizes)
-    partition = LabeledPartition(dict(enumerate(blocks.tolist())))
-    return g, partition
+    blocks = np.repeat(np.arange(nblocks, dtype=np.int32), spec.block_sizes)
+    return g, LabeledPartition(blocks, tuple(range(nblocks)))
 
 
 def plant_attributes(
@@ -168,14 +167,15 @@ def plant_attributes(
         raise ValidationError(f"need at least {len(blocks)} labels, got {len(labels)}")
     if len(labels) < 2 and noise > 0:
         raise ValidationError("noise requires at least two labels")
-    aligned = {blk: labels[i] for i, blk in enumerate(blocks)}
     rng = np.random.default_rng(rng_seed)
-    out: dict[int, object] = {}
-    for node in sorted(partition.assignments):
-        base = aligned[partition.assignments[node]]
+    # block code k aligns with labels[k]; unlabelled nodes draw nothing
+    nodes = np.flatnonzero(partition.codes >= 0)
+    out = []
+    for code in partition.codes[nodes].tolist():
+        base = labels[code]
         if rng.random() < noise:
             others = [lab for lab in labels if lab != base]
-            out[node] = others[rng.integers(len(others))]
+            out.append(others[rng.integers(len(others))])
         else:
-            out[node] = base
-    return LabeledPartition(out)
+            out.append(base)
+    return LabeledPartition.from_labels(partition.codes.size, nodes, out)

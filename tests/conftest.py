@@ -23,7 +23,8 @@ from netsample.errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from netsample.graph import Graph, NodeMapping
+from netsample.graph import UNKNOWN_LABEL, Graph, NodeMapping
+from netsample.metrics import CategoricalDistribution
 from netsample.samplers.base import (
     RESTART_PROB,
     STEP_BUDGET_FACTOR,
@@ -407,6 +408,23 @@ def brute_betweenness(g: Graph) -> np.ndarray:
                 for v in path[1:-1]:
                     bc[v] += 1.0 / npaths
     return bc
+
+
+def reference_label_histogram(nodes, assignments: dict) -> CategoricalDistribution:
+    """``label_histogram`` as a per-node loop over a ``{node: label}`` dict;
+    nodes missing from it read ``unknown``."""
+    labels = [assignments.get(v, UNKNOWN_LABEL) for v in nodes]
+    cats = set(assignments.values())
+    try:
+        cats = sorted(cats)
+    except TypeError:
+        cats = sorted(cats, key=str)
+    if any(lab == UNKNOWN_LABEL for lab in labels) and UNKNOWN_LABEL not in cats:
+        cats.append(UNKNOWN_LABEL)
+    counts = {c: 0 for c in cats}
+    for lab in labels:
+        counts[lab] += 1
+    return CategoricalDistribution.from_counts(cats, [counts[c] for c in cats])
 
 
 def reference_betweenness(g: Graph, sources=None) -> np.ndarray:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from netsample.experiments import (
     read_raw_csv,
     run_experiment,
 )
-from netsample.graph import Graph
+from netsample.graph import Graph, NodeMapping, save_edge_list
+from netsample.synth import SbmSpec, generate_sbm
 
 SBM_INPUT = {
     "sbm": {
@@ -249,6 +251,64 @@ def test_attribute_runner(tmp_path):
         )
 
 
+def _labeled_edge_list(tmp_path, name, ids):
+    """A two-block SBM saved with node ``v`` as ``ids[v]``, and its blocks as
+    a labels file in the same ids, last node first."""
+    g, part = generate_sbm(SbmSpec((15, 15), p_in=0.4, p_out=0.05, rng_seed=3))
+    edges, labels = tmp_path / f"{name}.txt", tmp_path / f"{name}.labels"
+    save_edge_list(g, edges, NodeMapping(sub_to_full=ids))
+    rows = [f"{ids[v]}\t{'ab'[part.label_of(v)]}\n" for v in range(g.n)]
+    labels.write_text("".join(reversed(rows)))
+    return {"edge_list": str(edges), "directed": False, "labels": str(labels)}
+
+
+@pytest.mark.filterwarnings("ignore::netsample.errors.DegenerateEntropyWarning")
+@pytest.mark.parametrize(
+    "name, relabel",
+    [
+        ("from_one", lambda v: v + 1),
+        ("gaps", lambda v: 3 * v + 7),
+        ("negative", lambda v: 5 * v - 100),
+    ],
+)
+def test_labels_follow_the_edge_list_ids(tmp_path, name, relabel):
+    base = _labeled_edge_list(tmp_path, "base", np.arange(30))
+    other = _labeled_edge_list(tmp_path, name, relabel(np.arange(30)))
+    g, part = load_input(other)
+    assert g.n == 30 and [part.label_of(v) for v in (0, 14, 15, 29)] == ["a", "a", "b", "b"]
+    specs = {
+        "community": dict(kind="community", seed_policy="smallest_block"),
+        "attribute": dict(kind="attribute", seed_regions=("a", "b")),
+    }
+    for kind, over in specs.items():
+        raw = []
+        for inp in (base, other):
+            out = tmp_path / f"{kind}-{len(raw)}"
+            spec = small_spec(
+                input=inp, samplers=[{"name": "rw"}, {"name": "tcec"}], fractions=(0.3,),
+                output_dir=str(out), **over,
+            )
+            run_experiment(spec).save(spec.output_dir)
+            raw.append((out / "raw.csv").read_bytes())
+        assert raw[0] == raw[1], kind
+
+
+def test_seed_region_absent_from_labels_lists_the_labels(tmp_path):
+    inp = _labeled_edge_list(tmp_path, "g", np.arange(30))
+    Path(inp["labels"]).write_text("0\t0\n1\t1\n")
+    spec = small_spec(kind="attribute", input=inp, seed_regions=(0,))
+    with pytest.raises(ValidationError, match=re.escape("seed region 0 absent from labels ('0', '1')")):
+        run_experiment(spec)
+
+
+def test_degenerate_seed_region_is_named(tmp_path):
+    inp = {**SBM_INPUT, "attributes": {"labels": ["a", "b", "c"]}}
+    inp["sbm"] = {**inp["sbm"], "block_sizes": [40]}
+    spec = small_spec(kind="attribute", input=inp, seed_regions=("a",), samplers=[{"name": "rw"}])
+    with pytest.raises(ValidationError, match="seed region 'a' has degenerate full-graph frequency 1.0"):
+        run_experiment(spec)
+
+
 def test_seed_pools_resolve_once_per_region(tmp_path, monkeypatch):
     resolved = []
     seed_pool = experiments._seed_pool
@@ -281,6 +341,37 @@ def test_smallest_block_seed_policy_needs_labels(tmp_path):
     )
     with pytest.raises(ValidationError, match="smallest_block seed policy needs labels"):
         run_experiment(spec)
+    # a labels file with no lines labels no block
+    (tmp_path / "labels.txt").write_text("")
+    spec.input = {"edge_list": str(edges), "labels": str(tmp_path / "labels.txt")}
+    assert load_input(spec.input)[1].categories == ()
+    with pytest.raises(ValidationError, match="smallest_block seed policy needs labels"):
+        run_experiment(spec)
+
+
+def test_smallest_block_ties_break_by_label_text(tmp_path, monkeypatch):
+    # blocks 2 and 10 are the equal smallest; "10" < "2", so block 10 wins
+    sizes = [8, 8, 3, 8, 8, 8, 8, 8, 8, 8, 3]
+    seeds = []
+    build = experiments._build_config
+
+    def recorded(entry, m, rng_seed, seed_node):
+        seeds.append(seed_node)
+        return build(entry, m, rng_seed, seed_node)
+
+    spec = small_spec(
+        kind="community",
+        input={"sbm": {"block_sizes": sizes, "p_in": 0.5, "p_out": 0.05, "rng_seed": 1}},
+        samplers=[{"name": "rw"}, {"name": "rn"}],
+        repetitions=4,
+        seed_policy="smallest_block",
+        output_dir=str(tmp_path / "out"),
+    )
+    monkeypatch.setattr(experiments, "_build_config", recorded)
+    run_experiment(spec)
+    _, partition = load_input(spec.input)
+    assert len(seeds) == 8
+    assert {partition.label_of(v) for v in seeds} == {10}
 
 
 def test_aggregate_rows_handles_missing_values():

@@ -511,18 +511,37 @@ def test_dense_ids_equal_unique(ids):
 def test_load_labels(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\ta\n1\tb\n0\ta\n")
-    part = load_labels(path)
+    mapping = NodeMapping(sub_to_full=np.arange(3))
+    part = load_labels(path, mapping)
     assert part.label_of(0) == "a"
-    assert part.label_of(99) == "unknown"
-    assert part.categories == ["a", "b"]
+    assert part.label_of(2) == "unknown"
+    assert part.categories == ("a", "b")
 
     path.write_text("0\ta\n0\tb\n")
-    with pytest.raises(ValidationError):
-        load_labels(path)
+    with pytest.raises(ValidationError, match=r"labels.txt:2: node 0 relabeled 'a' -> 'b'"):
+        load_labels(path, mapping)
 
     path.write_text("0 a\n")
     with pytest.raises(ParseError):
-        load_labels(path)
+        load_labels(path, mapping)
+
+
+def test_load_labels_reads_the_edge_list_ids(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("-5\ta\n40\tb\n7\tc\n")
+    part = load_labels(path, NodeMapping(sub_to_full=np.array([-5, 3, 7, 40])))
+    assert [part.label_of(v) for v in range(4)] == ["a", "unknown", "c", "b"]
+
+
+def test_load_labels_rejects_an_id_absent_from_the_edge_list(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("1\ta\n\n4\tb\n")
+    mapping = NodeMapping(sub_to_full=np.array([1, 2, 3]))
+    with pytest.raises(ValidationError, match=r"labels.txt:3: node 4 is not in the edge list"):
+        load_labels(path, mapping)
+    path.write_text(f"1\ta\n{2**70}\tb\n")
+    with pytest.raises(ParseError, match=r"labels.txt:2: expected an int64 node id"):
+        load_labels(path, mapping)
 
 
 def test_induced_subgraph_matches_dense_submatrix(rng):
@@ -565,15 +584,14 @@ def test_induced_subgraph_validation(rng):
 
 def test_node_mapping():
     m = NodeMapping(sub_to_full=np.array([5, 9, 11]))
-    assert m.full_to_sub == {5: 0, 9: 1, 11: 2}
     assert list(m.to_full([2, 0])) == [11, 5]
     assert len(m) == 3
 
 
 def test_partition_with_integer_labels():
-    part = LabeledPartition({0: 1, 1: 0, 2: 1})
-    assert part.categories == [0, 1]
-    assert part.labels_for([0, 1, 5]) == [1, 0, "unknown"]
+    part = LabeledPartition.from_labels(6, [0, 1, 2], [1, 0, 1])
+    assert part.categories == (0, 1)
+    assert [part.label_of(v) for v in (0, 1, 5)] == [1, 0, "unknown"]
 
 
 def test_core_modules_import_nothing_from_samplers():

@@ -20,7 +20,7 @@ from netsample.metrics import (
     label_histogram,
 )
 
-from conftest import brute_kendall_tau_b, reference_kendall_tau
+from conftest import brute_kendall_tau_b, reference_kendall_tau, reference_label_histogram
 
 
 def test_kendall_perfect_agreement_and_reversal():
@@ -160,16 +160,44 @@ def test_entropy_ratio_degenerate_full_graph_is_error():
 
 
 def test_label_histogram_keeps_zero_count_categories():
-    part = LabeledPartition({0: "a", 1: "b", 2: "b", 3: "c"})
+    part = LabeledPartition.from_labels(4, [0, 1, 2, 3], ["a", "b", "b", "c"])
     d = label_histogram([1, 2], part)
     assert d.labels == ("a", "b", "c")
     assert list(d.probs) == [0.0, 1.0, 0.0]
 
 
 def test_label_histogram_unknown_nodes():
-    part = LabeledPartition({0: "a"})
+    part = LabeledPartition.from_labels(6, [0], ["a"])
     d = label_histogram([0, 5], part)
     assert d.labels == ("a", "unknown")
     assert list(d.probs) == [0.5, 0.5]
     with pytest.raises(ValidationError):
         label_histogram([], part)
+
+
+@given(st.data())
+def test_label_histogram_matches_per_node_loop(data):
+    n = data.draw(st.integers(1, 12))
+    label = data.draw(st.sampled_from([
+        st.integers(-2, 3), st.sampled_from(["a", "b", "unknown", "Z"]),
+    ]))
+    assignments = data.draw(st.dictionaries(st.integers(0, n - 1), label))
+    part = LabeledPartition.from_labels(n, list(assignments), list(assignments.values()))
+    nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
+    got = label_histogram(nodes, part)
+    want = reference_label_histogram(nodes, assignments)
+    assert got.labels == want.labels
+    assert np.array_equal(got.probs, want.probs)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(v, f"node id {v} not in 0..5") for v in (-1, 6, 2**63 - 1)]
+    + [(v, "node ids must be integers") for v in (1.0, True, 2**70)],
+)
+def test_partition_rejects_node_ids_outside_the_graph(bad, message):
+    part = LabeledPartition.from_labels(6, [0, 5], ["a", "b"])
+    with pytest.raises(ValidationError, match=message):
+        part.label_of(bad)
+    with pytest.raises(ValidationError, match=message):
+        label_histogram([0, bad] if message.startswith("node id ") else [bad], part)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netsample.errors import ValidationError
+from netsample.graph import LabeledPartition
 from netsample.synth import (
     SbmSpec,
     _bernoulli_positions,
@@ -118,7 +119,7 @@ def test_sbm_deterministic():
     g1, p1 = generate_sbm(spec)
     g2, p2 = generate_sbm(spec)
     assert np.array_equal(dense_adjacency(g1), dense_adjacency(g2))
-    assert p1.assignments == p2.assignments
+    assert np.array_equal(p1.codes, p2.codes) and p1.categories == p2.categories
 
 
 # sha256 of out_indptr, out_dst, out_w and the block labels, recorded before
@@ -144,7 +145,7 @@ def test_sbm_output_is_pinned(sizes, p_in, p_out, directed, seed, digest):
     for a in (g._out_indptr, g._out_dst, g._out_w):
         h.update(a.dtype.str.encode())
         h.update(a.tobytes())
-    h.update(json.dumps(partition.labels_for(range(g.n))).encode())
+    h.update(json.dumps([partition.label_of(v) for v in range(g.n)]).encode())
     assert h.hexdigest() == digest
 
 
@@ -207,3 +208,15 @@ def test_plant_attributes_validation():
         plant_attributes(part, noise=0.5, labels=["only"])
     with pytest.raises(ValidationError):
         plant_attributes(part, noise=-0.1, labels=["a", "b"])
+
+
+def test_plant_attributes_skips_unlabelled_nodes():
+    # nodes 1, 3 and 4 are unlabelled: they stay unknown and draw no numbers,
+    # so the labelled nodes get what a partition of just them gets
+    part = LabeledPartition.from_labels(6, [0, 2, 5], [0, 1, 0])
+    dense = LabeledPartition.from_labels(3, [0, 1, 2], [0, 1, 0])
+    for seed in range(10):
+        got = plant_attributes(part, noise=0.5, labels=["a", "b", "c"], rng_seed=seed)
+        want = plant_attributes(dense, noise=0.5, labels=["a", "b", "c"], rng_seed=seed)
+        assert [got.label_of(v) for v in (1, 3, 4)] == ["unknown"] * 3
+        assert [got.label_of(v) for v in (0, 2, 5)] == [want.label_of(v) for v in range(3)]
