@@ -9,6 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .centrality import MEASURES, pivot_sources
@@ -52,7 +53,13 @@ def _load_graph(edge_list, sbm, directed):
     if (edge_list is None) == (sbm is None):
         raise click.UsageError("provide exactly one of --edge-list or --sbm")
     inp = {"edge_list": edge_list, "directed": directed} if sbm is None else {"sbm": read_yaml(sbm)}
-    return load_input(inp)
+    g, labels = load_input(inp)
+    source = click.get_current_context().get_parameter_source("directed")
+    if source is ParameterSource.COMMANDLINE and g.directed != directed:
+        flag = "--directed" if directed else "--undirected"
+        kind = "directed" if g.directed else "undirected"
+        raise click.ClickException(f"{flag} contradicts the {kind} SBM in {sbm}")
+    return g, labels
 
 
 @click.group()

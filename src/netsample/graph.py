@@ -1,9 +1,10 @@
-"""Immutable directed weighted graph with both out- and in-adjacency.
+"""Immutable weighted graph with both out- and in-adjacency.
 
 The graph is stored in compressed sparse form (CSR-style index arrays) for
-both edge directions, so samplers can ask for out- and in-neighborhoods in
-O(degree). Node ids are dense integers ``0..n-1``; loaders remap arbitrary
-file ids and return the mapping alongside the graph.
+both edge directions, one set shared by an undirected graph, so samplers can
+ask for out- and in-neighborhoods in O(degree). Node ids are dense integers
+``0..n-1``; loaders remap arbitrary file ids and return the mapping
+alongside the graph.
 """
 
 from __future__ import annotations
@@ -64,11 +65,13 @@ def _indptr(rows, n):
 
 
 class Graph:
-    """Immutable directed weighted graph.
+    """Immutable weighted graph; all weights are finite and >= 0.
 
     ``out_adj`` and ``in_adj`` are exact transposes: edge ``(i -> j, w)``
-    appears in ``out_adj[i]`` iff ``(i, w)`` appears in ``in_adj[j]``. For
-    undirected graphs the edge set is symmetric. All weights are finite and >= 0.
+    appears in ``out_adj[i]`` iff ``(i, w)`` appears in ``in_adj[j]``.
+    Parallel edges merge by weight sum. An undirected graph takes each edge
+    once, in either orientation, and stores it both ways (a self-loop once),
+    so a reversed copy sums like a parallel edge; its in-lists are its out-lists.
     """
 
     def __init__(self, n: int, src, dst, w, directed: bool):
@@ -89,8 +92,25 @@ class Graph:
             raise ValidationError("negative edge weight")
         self.n = int(n)
         self.directed = bool(directed)
+        if not directed:
+            # orient every edge low -> high first, so that both directions of a
+            # pair merge the same weights in the same order
+            lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+            mirror = lo != hi  # self-loops are stored once
+            src = np.concatenate([lo, hi[mirror]])
+            dst = np.concatenate([hi, lo[mirror]])
+            del lo, hi
+            w = np.concatenate([w, w[mirror]])
         out_src, self._out_dst, self._out_w = _merge_parallel(n, src, dst, w)
+        del src, dst, w
         self._out_indptr = _indptr(out_src, n)
+        self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
+        if not directed:
+            # the edge set is symmetric with equal weights both ways, so the
+            # in-CSR is the out-CSR
+            self._in_indptr, self._in_src, self._in_w = self._out_indptr, self._out_dst, self._out_w
+            self.in_strength = self.out_strength
+            return
         # scipy's CSR -> CSC transpose is a stable counting sort by target, so
         # each in-list's sources stay ascending; it may narrow the index dtype
         csc = sp.csr_matrix(
@@ -101,18 +121,13 @@ class Graph:
         self._in_w = csc.data
         # bincount adds in list order, so each target's in-weights arrive by
         # ascending source, as in its in-list
-        self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
         self.in_strength = np.bincount(self._out_dst, self._out_w, n).astype(np.float64)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple], directed: bool) -> "Graph":
-        """Build from an iterable of ``(src, dst)`` or ``(src, dst, w)``.
-
-        For undirected graphs each edge is materialized in both directions
-        (self-loops only once). Duplicate edges merge by weight summation.
-        """
+        """Build from an iterable of ``(src, dst)`` or ``(src, dst, w)``."""
         src, dst, w = [], [], []
         for i, e in enumerate(edges):
             try:
@@ -123,24 +138,7 @@ class Graph:
                 w.append(np.float64(e[2]) if len(e) == 3 else 1.0)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"edge {i} {e!r}: {exc}") from None
-        return cls.from_arrays(n, src, dst, w, directed)
-
-    @classmethod
-    def from_arrays(cls, n, src, dst, w, directed: bool) -> "Graph":
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
-        if not directed:
-            # orient every edge low -> high first, so that both directions of a
-            # pair merge the same weights in the same order
-            lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-            mirror = lo != hi  # self-loops are stored once
-            src = np.concatenate([lo, hi[mirror]])
-            dst = np.concatenate([hi, lo[mirror]])
-            del lo, hi
-            w = np.concatenate([w, w[mirror]])
-            return cls(n, src, dst, w, directed=False)
-        return cls(n, src, dst, w, directed=True)
+        return cls(n, src, dst, w, directed)
 
     # -- neighbor queries ---------------------------------------------
 
@@ -264,7 +262,7 @@ def load_edge_list(path, directed: bool) -> tuple[Graph, NodeMapping]:
     ends = np.concatenate(cols[:2])
     del cols  # frees the parsed rows
     ids, ends = _dense_ids(ends)
-    g = Graph.from_arrays(ids.size, ends[:m], ends[m:], w, directed)
+    g = Graph(ids.size, ends[:m], ends[m:], w, directed)
     return g, NodeMapping(sub_to_full=ids)
 
 
@@ -522,6 +520,7 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
     # a member's index in node_arr is its subgraph id
     owner, pos = csr_rows(g._out_indptr, node_arr)
     dst = sub_id[g._out_dst[pos]]
-    keep = dst >= 0
+    # the graph mirrors an undirected pair itself, so each is passed once
+    keep = dst >= 0 if g.directed else dst >= owner
     sub = Graph(node_arr.size, owner[keep], dst[keep], g._out_w[pos[keep]], g.directed)
     return sub, NodeMapping(sub_to_full=node_arr)

@@ -162,9 +162,9 @@ def entropy_ratio(sample_labels, full_labels, seed_region) -> float:
 def label_histogram(nodes, partition: LabeledPartition) -> CategoricalDistribution:
     """Empirical label frequencies over the partition's label set.
 
-    Zero-count labels are retained; the reserved unknown label appears only
-    when some queried node is unlabelled, and shares one bin with a category
-    of that name.
+    Zero-count labels are retained, so every histogram of one partition has
+    the same bins; the reserved unknown label has a bin when some node of the
+    partition is unlabelled, and shares it with a category of that name.
     """
     codes = partition.codes_of(nodes)
     if not codes.size:
@@ -172,8 +172,8 @@ def label_histogram(nodes, partition: LabeledPartition) -> CategoricalDistributi
     cats = partition.categories
     counts = np.bincount(codes + 1, minlength=len(cats) + 1)
     unknown, counts = counts[0], counts[1:]
-    if unknown and UNKNOWN_LABEL in cats:
+    if UNKNOWN_LABEL in cats:
         counts[cats.index(UNKNOWN_LABEL)] += unknown
-    elif unknown:
+    elif partition.codes.min() < 0:
         cats, counts = cats + (UNKNOWN_LABEL,), np.append(counts, unknown)
     return CategoricalDistribution.from_counts(cats, counts)

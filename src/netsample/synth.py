@@ -107,8 +107,6 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, LabeledPartition]:
     independently.
     """
     n = spec.n
-    if n == 0:
-        raise ValidationError("SBM with zero nodes")
     rng = np.random.default_rng(spec.rng_seed)
     offsets = np.concatenate([[0], np.cumsum(spec.block_sizes)])
     src_parts, dst_parts = [], []
@@ -140,7 +138,7 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, LabeledPartition]:
     dst = np.concatenate(dst_parts) if len(dst_parts) > 1 else dst_parts[0]
     del src_parts, dst_parts  # so that the parts are freed before the build
     # unit weights as a read-only view, with no array of ones behind it
-    g = Graph.from_arrays(n, src, dst, np.broadcast_to(1.0, src.shape), directed=spec.directed)
+    g = Graph(n, src, dst, np.broadcast_to(1.0, src.shape), directed=spec.directed)
     del src, dst  # before the partition is built
     blocks = np.repeat(np.arange(nblocks, dtype=np.int32), spec.block_sizes)
     return g, LabeledPartition(blocks, tuple(range(nblocks)))

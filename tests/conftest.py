@@ -66,7 +66,7 @@ def random_digraph(n, p, rng, weighted=False) -> Graph:
     if weighted:
         a *= rng.random((n, n)) + 0.5
     src, dst = np.nonzero(a)
-    return Graph.from_arrays(n, src, dst, a[src, dst], directed=True)
+    return Graph(n, src, dst, a[src, dst], directed=True)
 
 
 def random_undirected(n, p, rng, weighted=False) -> Graph:
@@ -74,7 +74,7 @@ def random_undirected(n, p, rng, weighted=False) -> Graph:
     if weighted:
         a *= rng.random((n, n)) + 0.5
     src, dst = np.nonzero(a)
-    return Graph.from_arrays(n, src, dst, a[src, dst], directed=False)
+    return Graph(n, src, dst, a[src, dst], directed=False)
 
 
 # -- dense criterion oracles ------------------------------------------
@@ -410,16 +410,16 @@ def brute_betweenness(g: Graph) -> np.ndarray:
     return bc
 
 
-def reference_label_histogram(nodes, assignments: dict) -> CategoricalDistribution:
-    """``label_histogram`` as a per-node loop over a ``{node: label}`` dict;
-    nodes missing from it read ``unknown``."""
+def reference_label_histogram(nodes, assignments: dict, n: int) -> CategoricalDistribution:
+    """``label_histogram`` as a per-node loop over a ``{node: label}`` dict
+    for nodes ``0..n-1``; nodes missing from it read ``unknown``."""
     labels = [assignments.get(v, UNKNOWN_LABEL) for v in nodes]
     cats = set(assignments.values())
     try:
         cats = sorted(cats)
     except TypeError:
         cats = sorted(cats, key=str)
-    if any(lab == UNKNOWN_LABEL for lab in labels) and UNKNOWN_LABEL not in cats:
+    if any(v not in assignments for v in range(n)) and UNKNOWN_LABEL not in cats:
         cats.append(UNKNOWN_LABEL)
     counts = {c: 0 for c in cats}
     for lab in labels:
@@ -559,7 +559,7 @@ GRAPH_ARRAYS = (
 
 
 def reference_graph_arrays(n, src, dst, w, directed) -> dict:
-    """CSR arrays and strengths of ``Graph.from_arrays``, built per direction
+    """CSR arrays and strengths of ``Graph(...)``, built per direction
     by ``reference_build_csr``."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -621,7 +621,7 @@ def reference_load_edge_list(path, directed: bool):
     dst = np.asarray(dst, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
     ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
-    g = Graph.from_arrays(ids.size, dense[: src.size], dense[src.size :], w, directed)
+    g = Graph(ids.size, dense[: src.size], dense[src.size :], w, directed)
     return g, NodeMapping(sub_to_full=ids)
 
 

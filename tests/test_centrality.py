@@ -170,7 +170,7 @@ def test_betweenness_bitwise_on_dense_random_graphs(rng):
     for trial in range(40):
         n = int(rng.integers(20, 60))
         m = int(rng.integers(3 * n, 8 * n))
-        g = Graph.from_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), directed=trial % 2 == 0)
+        g = Graph(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), directed=trial % 2 == 0)
         assert bitwise_equal(betweenness(g).scores, reference_betweenness(g))
 
 
@@ -297,7 +297,7 @@ def test_spectral_centralities_bitwise_on_larger_weighted_graphs(rng):
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
         w = 10.0 ** rng.uniform(-6, 6, m) * (rng.random(m) > 0.1)
         keep = ~np.isin(src, rng.choice(n, n // 10, replace=False)) if directed else slice(None)
-        g = Graph.from_arrays(n, src[keep], dst[keep], w[keep], directed=directed)
+        g = Graph(n, src[keep], dst[keep], w[keep], directed=directed)
         for fn, reference in SPECTRAL_REFERENCES:
             assert _outcome(fn, g) == _outcome(reference, g), (trial, fn.__name__)
 

@@ -196,6 +196,30 @@ def test_experiment_run_and_report(tmp_path):
     assert (tmp_path / "report" / "merged_raw.csv").exists()
 
 
+def test_experiment_run_output_dir_overrides_the_spec(tmp_path):
+    spec = {**GOOD_SPEC, "output_dir": str(tmp_path / "from_spec")}
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump(spec))
+    out = tmp_path / "from_flag"
+    r = CliRunner().invoke(cli, ["experiment", "run", str(spec_path), "--output-dir", str(out)])
+    assert r.exit_code == 0, r.output
+    assert (out / "raw.csv").exists()
+    assert not (tmp_path / "from_spec").exists()
+
+
+def test_sample_stuck_walk_exits_with_the_partial_sample_message(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 6\n6 3\n6 0\n7 8\n")
+    r = CliRunner().invoke(cli, [
+        "sample", "--edge-list", str(edges), "--sampler", "rw", "--size", "8",
+        "--seed-node", "0", "--rng-seed", "1", "--output", str(tmp_path / "x"),
+    ])
+    assert r.exit_code == 1
+    assert "partial sample: random walk found 3/8 nodes within 8000 steps" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
 def test_experiment_run_bad_spec_exits_1(tmp_path):
     spec_path = tmp_path / "spec.yaml"
     spec_path.write_text(yaml.safe_dump({"kind": "community", "input": {},
@@ -366,6 +390,10 @@ BAD_INPUTS = [
      "rng_seed must be an integer >= 0, got -1"),
     ("cmd", ["centrality", "--edge-list", "EDGES", "--measure", "betweenness", "--approximate",
              "--pivot-seed", "-1"], "pivot seed must be an integer >= 0, got -1"),
+    ("cmd", ["sample", "--sbm", "DSBM", "--undirected", "--sampler", "rw", "--size", "3"],
+     "--undirected contradicts the directed SBM in "),
+    ("cmd", ["centrality", "--sbm", "SBM", "--directed", "--measure", "indegree"],
+     "--directed contradicts the undirected SBM in "),
 ]
 
 
@@ -376,8 +404,11 @@ def test_bad_input_exits_with_one_line_message(tmp_path, kind, case, message):
         "MISSING": tmp_path / "nope.txt",
         "DIR": tmp_path / "subdir",
         "BADLABELS": tmp_path / "labels.txt",
+        "SBM": write_sbm(tmp_path),
+        "DSBM": tmp_path / "directed.yaml",
     }
     paths["DIR"].mkdir()
+    paths["DSBM"].write_text(yaml.safe_dump({**SBM_YAML, "directed": True}))
     paths["BADLABELS"].write_bytes(b"0\ta\n1\t\xff\n")
 
     def fill(value):

@@ -293,6 +293,23 @@ def test_labels_follow_the_edge_list_ids(tmp_path, name, relabel):
         assert raw[0] == raw[1], kind
 
 
+@pytest.mark.filterwarnings("ignore::netsample.errors.DegenerateEntropyWarning")
+def test_partially_labelled_input_runs_community_and_attribute_studies(tmp_path):
+    inp = _labeled_edge_list(tmp_path, "g", np.arange(30))
+    rows = Path(inp["labels"]).read_text().splitlines(keepends=True)
+    Path(inp["labels"]).write_text("".join(rows[:-2]))  # nodes 1 and 0 are the last lines
+    assert np.flatnonzero(load_input(inp)[1].codes < 0).tolist() == [0, 1]
+    studies = [dict(kind="community"), dict(kind="attribute", seed_regions=("a", "b"))]
+    for study, regions in zip(studies, (1, 2)):
+        spec = small_spec(
+            input=inp, samplers=[{"name": "rw"}, {"name": "xs"}], fractions=(0.3,), repetitions=10,
+            **study,
+        )
+        kl = [r["value"] for r in run_experiment(spec).rows if r["measure"].startswith("kl")]
+        assert len(kl) == 2 * 10 * regions
+        assert all(v is not None and 0.0 <= v < math.inf for v in kl), kl
+
+
 def test_seed_region_absent_from_labels_lists_the_labels(tmp_path):
     inp = _labeled_edge_list(tmp_path, "g", np.arange(30))
     Path(inp["labels"]).write_text("0\t0\n1\t1\n")

@@ -88,7 +88,7 @@ def test_strengths_bitwise_equal_add_at_reference(rng):
             src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
             src, dst = np.concatenate([src, src[: m // 3]]), np.concatenate([dst, dst[: m // 3]])
             w = rng.random(src.size) * 10.0 ** rng.uniform(-3, 3, src.size)
-            g = Graph.from_arrays(n, src, dst, w, directed=directed)
+            g = Graph(n, src, dst, w, directed=directed)
             s, d, ew = g.edge_arrays()  # per target, sources ascend as in the in-lists
             out_ref = np.zeros(n)
             np.add.at(out_ref, s, ew)
@@ -108,7 +108,7 @@ def test_build_bitwise_equals_lexsort_reference(rng):
                 src, dst = np.concatenate([src, src[dup]]), np.concatenate([dst, dst[dup]])
                 spread = rng.random(src.size) * 10.0 ** rng.uniform(-3, 3, src.size)
                 for w in (np.ones(src.size), spread):
-                    g = Graph.from_arrays(n, src, dst, w, directed=directed)
+                    g = Graph(n, src, dst, w, directed=directed)
                     want = reference_graph_arrays(n, src, dst, w, directed)
                     assert_bitwise_equal(graph_arrays(g), want)
     # distinct (src, dst) pairs in increasing order, as a saved edge list holds
@@ -119,7 +119,7 @@ def test_build_bitwise_equals_lexsort_reference(rng):
             src, dst = np.divmod(key, n)  # (0, 0) and (n - 1, n - 1) are self-loops
             w = rng.random(key.size)
             w[rng.integers(0, key.size)] = -0.0
-            g = Graph.from_arrays(n, src, dst, w, directed=directed)
+            g = Graph(n, src, dst, w, directed=directed)
             want = reference_graph_arrays(n, src, dst, w, directed)
             assert_bitwise_equal(graph_arrays(g), want)
 
@@ -130,7 +130,7 @@ def test_graph_holds_no_view_of_the_callers_arrays(directed, order):
     src = np.array([0, 0, 1, 2, 2])[order]
     dst = np.array([1, 2, 2, 0, 2])[order]
     w = np.array([0.5, 1.0, 2.0, 3.0, 4.0])[order]
-    g = Graph.from_arrays(3, src, dst, w, directed=directed)
+    g = Graph(3, src, dst, w, directed=directed)
     want = {k: v.copy() for k, v in graph_arrays(g).items()}
     src[:], dst[:], w[:] = 1, 0, 9.0
     assert_bitwise_equal(graph_arrays(g), want)
@@ -141,10 +141,35 @@ def test_validation_rejects_bad_edges():
         Graph(2, [0], [5], [1.0], directed=True)
     with pytest.raises(ValidationError):
         Graph(2, [0], [1], [-1.0], directed=True)
-    with pytest.raises(ValidationError):
-        Graph(2, [0, 1], [1], [1.0], directed=True)
     with pytest.raises(ValidationError, match="exceeds the limit"):
         Graph(graph._MAX_NODES + 1, [], [], [], directed=True)
+    # an undirected graph is mirrored after the checks, which see the input as given
+    mismatched = [([0, 2], [1], [1.0]), ([0], [1, 2], [1.0, 1.0]), ([0, 1], [1, 2], [1.0])]
+    for directed in (True, False):
+        for src, dst, w in mismatched:
+            with pytest.raises(ValidationError, match="^edge arrays must have equal length$"):
+                Graph(3, src, dst, w, directed=directed)
+
+
+def test_undirected_edge_given_high_to_low_is_stored_both_ways(tmp_path):
+    g = Graph(3, [1], [0], [1.0], directed=False)
+    assert g.out_neighbors(0)[0].tolist() == [1] and g.out_neighbors(1)[0].tolist() == [0]
+    assert g.out_strength.tolist() == g.in_strength.tolist() == [1.0, 1.0, 0.0]
+    save_edge_list(g, tmp_path / "g.txt")
+    assert (tmp_path / "g.txt").read_text() == "0 1\n"
+    g2, mapping = load_edge_list(tmp_path / "g.txt", directed=False)
+    src, dst, _ = g2.edge_arrays()
+    assert mapping.sub_to_full.tolist() == [0, 1]
+    assert src.tolist() == [0, 1] and dst.tolist() == [1, 0]
+
+
+@given(small_graphs(weighted=True), st.lists(st.integers(0, 11), min_size=1))
+def test_undirected_graph_stores_one_csr(g, nodes):
+    sub, _ = induced_subgraph(g, [v for v in nodes if v < g.n] or [0])
+    for h in (g, sub):
+        shared = (h._in_indptr is h._out_indptr, h._in_src is h._out_dst, h._in_w is h._out_w)
+        assert shared == (not h.directed,) * 3
+        assert (h.in_strength is h.out_strength) == (not h.directed)
 
 
 @pytest.mark.parametrize("n", [-1, 2.5, "3", True, None])
@@ -239,21 +264,21 @@ def writer_case(kind, block, rng):
         mags = [10**k for k in range(19)] + [10**k - 1 for k in range(2, 19)]
         ids = np.unique(np.array([0, -(2**63), 2**63 - 1] + mags + [-m for m in mags]))
         src = np.arange(ids.size)
-        g = Graph.from_arrays(ids.size, src, rng.permutation(src), np.ones(ids.size), True)
+        g = Graph(ids.size, src, rng.permutation(src), np.ones(ids.size), True)
         return g, [NodeMapping(sub_to_full=ids)]
     if kind == "edge_weights":
         # the build stores -0.0 as 0.0
         w = [-0.0, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]
         g = random_digraph(50, 0.1, rng)
         src, dst, _ = g.edge_arrays()
-        return Graph.from_arrays(g.n, src, dst, rng.choice(w, src.size), True), [None]
+        return Graph(g.n, src, dst, rng.choice(w, src.size), True), [None]
     if kind == "no_edges":
         return Graph(5, [], [], [], True), [None, NodeMapping(sub_to_full=np.arange(5) - 2)]
     if kind == "block_multiple":
         n = 1000
         pairs = rng.choice(n * n, 2 * block, replace=False)
         w = rng.choice([1.0, 0.5], pairs.size)
-        g = Graph.from_arrays(n, pairs // n, pairs % n, w, True)
+        g = Graph(n, pairs // n, pairs % n, w, True)
         assert g.num_edges == 2 * block
         return g, [None]
     if kind == "undirected":
@@ -263,7 +288,7 @@ def writer_case(kind, block, rng):
     if kind != "unit":  # mix weights that are and are not exactly 1.0
         src, dst, w = g.edge_arrays()
         w = rng.choice([1.0, 0.1, 1 / 3, 2.5, 1e-300, 7.0], src.size)
-        g = Graph.from_arrays(g.n, src, dst, w, directed=g.directed)
+        g = Graph(g.n, src, dst, w, directed=g.directed)
     ids = np.sort(rng.choice(10**12, g.n, replace=False))
     return g, [None, NodeMapping(sub_to_full=ids)]
 
@@ -296,7 +321,7 @@ def test_save_edge_list_memory_is_flat_in_the_edge_count(tmp_path, monkeypatch):
     n = 20_000
     src = np.repeat(np.arange(n), 10)
     dst = (src * 7919 + np.tile(np.arange(10), n) * 104_729) % n
-    g = Graph.from_arrays(n, src, dst, np.where(src % 3 == 0, 0.5, 1.0), True)
+    g = Graph(n, src, dst, np.where(src % 3 == 0, 0.5, 1.0), True)
     assert g.num_edges > 190_000
 
     def traced_peak(fn):

@@ -171,6 +171,14 @@ def test_label_histogram_unknown_nodes():
     d = label_histogram([0, 5], part)
     assert d.labels == ("a", "unknown")
     assert list(d.probs) == [0.5, 0.5]
+    # the partition has unlabelled nodes, so every histogram has their bin
+    d = label_histogram([0], part)
+    assert d.labels == ("a", "unknown")
+    assert list(d.probs) == [1.0, 0.0]
+    full = LabeledPartition.from_labels(2, [0, 1], ["a", "b"])
+    assert label_histogram([0], full).labels == ("a", "b")
+    shared = LabeledPartition.from_labels(4, [0, 1, 2], ["a", "unknown", "b"])
+    assert label_histogram([0], shared).labels == ("a", "b", "unknown")
     with pytest.raises(ValidationError):
         label_histogram([], part)
 
@@ -185,7 +193,7 @@ def test_label_histogram_matches_per_node_loop(data):
     part = LabeledPartition.from_labels(n, list(assignments), list(assignments.values()))
     nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
     got = label_histogram(nodes, part)
-    want = reference_label_histogram(nodes, assignments)
+    want = reference_label_histogram(nodes, assignments, n)
     assert got.labels == want.labels
     assert np.array_equal(got.probs, want.probs)
 

@@ -107,6 +107,21 @@ def test_bernoulli_positions_edge_cases(rng):
     assert pos.min() >= 0 and pos.max() < 10000
 
 
+def test_bernoulli_positions_join_later_geometric_batches():
+    sizes = []
+
+    class UnitSteps:
+        """A generator whose every geometric draw is 1, far below 1 / p."""
+
+        def geometric(self, p, size):
+            sizes.append(size)
+            return np.ones(size, dtype=np.int64)
+
+    got = _bernoulli_positions(1000, 0.5, UnitSteps())
+    assert got.dtype == np.int64 and np.array_equal(got, np.arange(1000))
+    assert len(sizes) == 5
+
+
 def test_bernoulli_positions_mean_within_3_sigma(rng):
     count, p = 200_000, 0.01
     hits = _bernoulli_positions(count, p, rng).size
