@@ -152,6 +152,8 @@ def betweenness(g: Graph, sources=None) -> CentralityVector:
         bad = sources[(sources < 0) | (sources >= n)]
         if bad.size:
             raise ValidationError(f"betweenness source {int(bad[0])} not in 0..{n - 1}")
+    # a source with no out-edges adds only zeros
+    sources = sources[g._out_indptr[sources + 1] > g._out_indptr[sources]]
     block = max(1, BLOCK_SLOTS // max(1, n + g.num_edges))
     bc = np.zeros(n, dtype=np.float64)
     for lo in range(0, sources.size, block):

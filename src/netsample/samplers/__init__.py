@@ -16,7 +16,7 @@ from .baselines import (
     sample_random_walk,
 )
 from .tcec import sample_tcec, tcec_score
-from .tcpr import recompute_delta, sample_tcpr, tcpr_score
+from .tcpr import sample_tcpr, tcpr_score
 
 SAMPLERS = {
     "rn": sample_random_node,
@@ -36,7 +36,6 @@ __all__ = [
     "SampleState",
     "SAMPLERS",
     "node2vec_step_weights",
-    "recompute_delta",
     "sample_expansion",
     "sample_node2vec_walk",
     "sample_random_node",

@@ -157,6 +157,7 @@ class Leaderboard:
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
+        self._limit = self.COMPACT_FACTOR * self.capacity
         # node -> [score, insertion_step, epoch, version]
         self._entries: dict[int, list] = {}
         self._best: list[tuple] = []  # (-score, step, node, version)
@@ -182,8 +183,7 @@ class Leaderboard:
         ent[3] = self._versions
         heapq.heappush(self._best, (-ent[0], ent[1], node, ent[3]))
         heapq.heappush(self._worst, (ent[0], -ent[1], node, ent[3]))
-        limit = self.COMPACT_FACTOR * self.capacity
-        if len(self._best) > limit or len(self._worst) > limit:
+        if len(self._best) > self._limit or len(self._worst) > self._limit:
             self._best = [(-e[0], e[1], v, e[3]) for v, e in self._entries.items()]
             self._worst = [(e[0], -e[1], v, e[3]) for v, e in self._entries.items()]
             heapq.heapify(self._best)
@@ -267,12 +267,16 @@ def neighborhood(g, node: int) -> np.ndarray:
     distinct, so after one sort an id repeats at most once, next to itself.
     """
     out_idx, _ = g.out_neighbors(node)
+    # only a self-loop puts ``node`` in its own lists
     if not g.directed:
-        return out_idx[out_idx != node]
-    both = np.concatenate([out_idx, g.in_neighbors(node)[0]])
+        return out_idx[out_idx != node] if g.has_self_loop else out_idx.copy()
+    both = np.concatenate((out_idx, g.in_neighbors(node)[0]))
     both.sort()
-    keep = both != node
-    keep[1:] &= both[1:] != both[:-1]
+    if g.has_self_loop:
+        both = both[both != node]
+    keep = np.empty(both.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
     return both[keep]
 
 
@@ -365,8 +369,9 @@ def run_criterion_crawl(
             # one draw per surviving candidate, in candidate order
             cands = cands[rng.random(cands.size) < cfg.exploration_p]
         counters["scored_candidates"] += cands.size
+        offer, epoch = state.leaderboard.offer, state.k
         for cand in cands.tolist():
-            state.leaderboard.offer(cand, score_fn(cand), epoch=state.k)
+            offer(cand, score_fn(cand), epoch)
         if step_callback is not None:
             step_callback(state, node, tag)
 

@@ -198,11 +198,11 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
 
     def step(g, rng, prev, current):
         idx, weights = node2vec_step_weights(g, prev, current, p, q)
-        total = float(weights.sum())
+        total = float(np.add.reduce(weights))
         if total <= 0:
             return None
         u = rng.random() * total
-        pos = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), idx.size - 1)
+        pos = min(int(weights.cumsum().searchsorted(u, "right")), idx.size - 1)
         return int(idx[pos])
 
     return _walk_sample(g, cfg, "node2vec", "node2vec walk", step)

@@ -30,22 +30,27 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
         raise ValidationError(f"candidate {j} is already sampled")
     out_idx, out_w = g.out_neighbors(j)
     sel = mask[out_idx]
-    b1_idx, b1_w = out_idx[sel], out_w[sel]
-    b1_sq = float(b1_w @ b1_w)
+    b1_idx = out_idx[sel]
+    b1_sq = btu_sq = 0.0
+    if b1_idx.size:
+        b1_w = out_w[sel]
+        b1_sq = float(b1_w.dot(b1_w))
 
     in_idx, in_w = g.in_neighbors(j)
-    outside = ~mask[in_idx] & (in_idx != j)
+    outside = ~mask[in_idx]
+    if g.has_self_loop:
+        outside &= in_idx != j
     wb3 = in_w[outside]
-    b3_sq = float(wb3 @ wb3)
+    b3_sq = float(wb3.dot(wb3))
 
-    btu_sq = 0.0
     if b1_idx.size == 1:
         # one target: its in-list is sorted and distinct, so every outside
-        # node's bin holds a single product
+        # node's bin holds a single product; j is in the list, as j -> s
         s_in_idx, s_in_w = g.in_neighbors(int(b1_idx[0]))
-        keep = ~mask[s_in_idx] & (s_in_idx != j)
-        sums = float(b1_w[0]) * s_in_w[keep]
-        btu_sq = float(sums @ sums)
+        keep = ~mask[s_in_idx]
+        keep[s_in_idx.searchsorted(j)] = False
+        sums = s_in_w[keep] * b1_w
+        btu_sq = float(sums.dot(sums))
     elif b1_idx.size:
         cols, vals = [], []
         for s, w_js in zip(b1_idx.tolist(), b1_w.tolist()):
@@ -59,13 +64,15 @@ def tcec_score(g, state: SampleState, j: int, alpha: float) -> float:
         if cols.size:
             # a stable sort keeps each outside node's products in gather
             # order, and bincount adds each bin's terms in that order
-            order = np.argsort(cols, kind="stable")
-            cols = cols[order]
-            new_run = np.empty(cols.size, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = cols[1:] != cols[:-1]
-            sums = np.bincount(np.cumsum(new_run) - 1, weights=vals[order])
-            btu_sq = float(sums @ sums)
+            order = cols.argsort(kind="stable")
+            cols, sums = cols[order], vals[order]
+            new_run = cols[1:] != cols[:-1]
+            if np.count_nonzero(new_run) < new_run.size:
+                # some node has two terms; a bin of one term holds 0.0 + v = v
+                bins = np.zeros(cols.size, dtype=np.intp)
+                new_run.cumsum(out=bins[1:])
+                sums = np.bincount(bins, weights=sums)
+            btu_sq = float(sums.dot(sums))
 
     return (1.0 - alpha) * (b1_sq + btu_sq - b3_sq) + alpha * float(
         state.in_sample_indegree[j]

@@ -36,20 +36,24 @@ def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.nda
         return
     out_idx, out_w = g.out_neighbors(s)
     keep = ~state.member_mask[out_idx]
-    state.delta[s] = float(out_w[keep].sum()) / float(dout[s])
+    state.delta[s] = float(np.add.reduce(out_w[keep])) / float(dout[s])
 
 
 def update_deltas_on_admit(g, state: SampleState, s: int, dout: np.ndarray) -> None:
     """Remove the admitted node's term from every non-dangling member's delta.
 
     No dangling member's delta is stored, so there is none to update.
+    ``dout`` is not read: the terms ``P(x -> s)`` come from
+    ``g.in_transitions``.
     """
-    in_idx, in_w = g.in_neighbors(s)
+    in_idx, p_in, live = g.in_transitions(s)
     # a dangling member can reach s by a zero-weight edge; it has no delta
-    mem = state.member_mask[in_idx] & (in_idx != s) & (dout[in_idx] > 0)
+    mem = state.member_mask[in_idx] & live
+    if g.has_self_loop:
+        mem &= in_idx != s
     xs = in_idx[mem]
     if xs.size:
-        state.delta[xs] -= in_w[mem] / dout[xs]
+        state.delta[xs] -= p_in[mem]
 
 
 def member_deltas(g, state: SampleState, nodes) -> np.ndarray:
@@ -70,34 +74,38 @@ def tcpr_score(g, state: SampleState, j: int, gamma: float) -> float:
 
     out_idx, out_w = g.out_neighbors(j)
     sel = mask[out_idx]
-    s_nodes, s_w = out_idx[sel], out_w[sel]
-    u = s_w / float(dout[j])  # candidate's transition mass into the sample
-    b1 = gamma * float(u.sum())
+    s_nodes = out_idx[sel]
+    u = out_w[sel] / float(dout[j])  # candidate's transition mass into the sample
+    b1 = gamma * float(np.add.reduce(u))
 
-    in_idx, in_w = g.in_neighbors(j)
+    in_idx, p_in, live = g.in_transitions(j)
     in_member = mask[in_idx]
-    in_live = dout[in_idx] > 0
-    outside = ~in_member & (in_idx != j) & in_live
-    b3 = gamma * float((in_w[outside] / dout[in_idx[outside]]).sum())
+    outside = live & ~in_member
+    if g.has_self_loop:
+        outside &= in_idx != j
+    b3 = gamma * float(np.add.reduce(p_in[outside]))
 
     # P(s -> j) for non-dangling member in-neighbors of j, ascending by s as
     # the in-list is; a dangling member reaches j only by zero-weight edges
-    msel = in_member & in_live
-    s_in = in_idx[msel]
-    prob_sj = in_w[msel] / dout[s_in]
+    msel = in_member & live
+    prob_sj = p_in[msel]
     # Python's sum adds left to right; dangling members add a constant, dropped
     sum_prob_sj = sum(prob_sj.tolist())
 
     const = (1.0 - gamma) * (n - k - 1) / n
     b1u = 0.0
     if s_nodes.size:
-        # P(s -> j) of each member target s of j: 0 if s is not an
-        # in-neighbor of j, 1/n if s is dangling
-        corr = np.where(dout[s_nodes] > 0, 0.0, 1.0 / n)
-        pos, hit = sorted_lookup(s_in, s_nodes)
-        corr[hit] = prob_sj[pos[hit]]
-        delta_excl = member_deltas(g, state, s_nodes) - corr
-        b1u = gamma * float((u * (gamma * delta_excl + const)).sum())
+        # each member target's delta less its P(s -> j): 1/n if s is
+        # dangling, the in-list's value if s is an in-neighbor of j, else 0;
+        # init_delta lists every dangling member in state.dangling_members
+        delta_excl = state.delta[s_nodes]
+        if state.dangling_members:
+            corr = np.where(dout[s_nodes] > 0, 0.0, 1.0 / n)
+            delta_excl = member_deltas(g, state, s_nodes) - corr
+        if prob_sj.size:
+            pos, hit = sorted_lookup(in_idx[msel], s_nodes)
+            delta_excl[hit] -= prob_sj[pos[hit]]
+        b1u = gamma * float(np.add.reduce(u * (gamma * delta_excl + const)))
     b1u -= gamma * (1.0 - gamma) / n * sum_prob_sj
     return b1 + b1u - b3
 
@@ -124,24 +132,15 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         update_deltas_on_admit(g, state, node, dout)
 
     def offer_candidates(node):
-        in_idx, _ = g.in_neighbors(node)  # sorted and distinct
-        cands = in_idx[in_idx != node]
-        ok = ~dangling[cands]
-        counters_extra["dangling_skipped"] += int(np.count_nonzero(~ok))
-        return cands[ok]
+        cands, _, live = g.in_transitions(node)  # sorted and distinct
+        if g.has_self_loop:
+            other = cands != node
+            cands, live = cands[other], live[other]
+        counters_extra["dangling_skipped"] += live.size - int(np.count_nonzero(live))
+        return cands[live]
 
     result = run_criterion_crawl(
         g, cfg, state, "tcpr", score_fn, offer_candidates, on_admit, step_callback
     )
     result.counters.update(counters_extra)
     return result
-
-
-def recompute_delta(g, member_mask: np.ndarray, x: int) -> float:
-    """From-scratch delta of member ``x``: its transition mass to non-members."""
-    n = g.n
-    if g.out_strength[x] <= 0:
-        return float(n - member_mask.sum()) / n
-    out_idx, out_w = g.out_neighbors(x)
-    keep = ~member_mask[out_idx]
-    return float(out_w[keep].sum()) / float(g.out_strength[x])

@@ -648,6 +648,16 @@ def reference_save_edge_list(g: Graph, path, mapping=None) -> None:
 # package's walker, leaderboard and delta bookkeeping, which they do not check.
 
 
+def recompute_delta(g: Graph, member_mask: np.ndarray, x: int) -> float:
+    """From-scratch delta of member ``x``: its transition mass to non-members."""
+    n = g.n
+    if g.out_strength[x] <= 0:
+        return float(n - member_mask.sum()) / n
+    out_idx, out_w = g.out_neighbors(x)
+    keep = ~member_mask[out_idx]
+    return float(out_w[keep].sum()) / float(g.out_strength[x])
+
+
 def reference_neighborhood(g: Graph, node: int) -> np.ndarray:
     """``neighborhood`` by ``np.union1d``; the merge must match it exactly."""
     out_idx, _ = g.out_neighbors(node)

@@ -18,7 +18,7 @@ from netsample.graph import Graph
 from netsample.metrics import kendall_tau
 from netsample.samplers import SamplerConfig, sample_tcec, sample_tcpr, tcec_score, tcpr_score
 from netsample.samplers.base import SampleState
-from netsample.samplers.tcpr import member_deltas, recompute_delta
+from netsample.samplers.tcpr import member_deltas
 from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     dense_tcec_score,
     dense_tcpr_score,
     random_digraph,
+    recompute_delta,
 )
 
 

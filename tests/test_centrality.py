@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from netsample import centrality
 from netsample.centrality import (
     BLOCK_SLOTS,
     CentralityVector,
@@ -197,6 +198,28 @@ def test_betweenness_backward_pass_follows_discovery_order_not_id_order():
     assert want != (1.0 + 1.0 / 3.0) + 1.0
     assert betweenness(g, sources=[0]).scores[4] == want
     assert bitwise_equal(betweenness(g).scores, reference_betweenness(g))
+
+
+def test_betweenness_runs_no_source_without_out_edges(rng, monkeypatch):
+    block = centrality._block_dependencies
+    roots = []
+    monkeypatch.setattr(
+        centrality, "_block_dependencies", lambda g, r: roots.extend(r.tolist()) or block(g, r)
+    )
+    for trial in range(20):
+        g = random_digraph(40, 0.08, rng)
+        src, dst, w = g.edge_arrays()
+        sinks = rng.choice(40, 12, replace=False)
+        keep = ~np.isin(src, sinks)
+        g = Graph(40, src[keep], dst[keep], w[keep], directed=True)
+        sources = None if trial % 2 else rng.integers(0, 40, 30).tolist()
+        roots.clear()
+        got = betweenness(g, sources=sources).scores
+        assert bitwise_equal(got, reference_betweenness(g, sources))
+        has_out = g.out_strength > 0
+        assert roots and all(has_out[roots])
+        want = range(40) if sources is None else sources
+        assert roots == [s for s in want if has_out[s]]
 
 
 def test_betweenness_rejects_bad_sources():

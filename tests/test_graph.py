@@ -178,6 +178,45 @@ def test_graph_rejects_bad_node_count(n):
         Graph(n, [], [], [], directed=True)
 
 
+@pytest.mark.parametrize("directed", ["no", 1, None])
+def test_graph_rejects_non_bool_directed(directed):
+    message = f"^directed must be true or false, got {re.escape(repr(directed))}$"
+    with pytest.raises(ValidationError, match=message):
+        Graph(2, [0], [1], [1.0], directed)
+    with pytest.raises(ValidationError, match=message):
+        Graph.from_edges(2, [(0, 1)], directed=directed)
+
+
+@given(small_graphs(weighted=True))
+def test_edge_arrays_rebuild_round_trips_bitwise(g):
+    src, dst, w = g.edge_arrays()
+    if not g.directed:
+        keep = src <= dst
+        src, dst, w = src[keep], dst[keep], w[keep]
+    assert_bitwise_equal(graph_arrays(Graph(g.n, src, dst, w, g.directed)), graph_arrays(g))
+
+
+@given(small_graphs(weighted=True))
+def test_in_transitions_hold_the_quotients_of_the_in_lists(g):
+    # the drawn weights include 0, so some nodes have out-edges but no strength
+    src, dst, _ = g.edge_arrays()
+    assert g.has_self_loop == bool(np.any(src == dst))
+    for v in range(g.n):
+        in_idx, in_w = g.in_neighbors(v)
+        idx, p, live = g.in_transitions(v)
+        assert np.array_equal(idx, in_idx)
+        dout = g.out_strength[in_idx]
+        assert np.array_equal(live, dout > 0)
+        assert p[live].tobytes() == (in_w[live] / dout[live]).tobytes()
+        assert not p[~live].any()
+    p, live = g._in_transition
+    assert p.shape == live.shape == g._in_src.shape
+    assert p.nbytes + live.nbytes == 9 * g._in_src.size
+    for a in (p, live):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0
+
+
 @pytest.mark.parametrize("bad", [(0,), (0, 1, 1.0, 2), (0, "x"), 5])
 def test_from_edges_names_bad_edge(bad):
     with pytest.raises(ValidationError, match=r"^edge 1 "):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,12 +26,7 @@ from netsample.samplers import (
 )
 from netsample.samplers.base import Leaderboard, SampleState, neighborhood
 from netsample.samplers.baselines import node2vec_step_weights
-from netsample.samplers.tcpr import (
-    init_delta,
-    member_deltas,
-    recompute_delta,
-    update_deltas_on_admit,
-)
+from netsample.samplers.tcpr import init_delta, member_deltas, update_deltas_on_admit
 
 from conftest import (
     dense_adjacency,
@@ -37,6 +34,7 @@ from conftest import (
     dense_tcpr_score,
     random_digraph,
     random_undirected,
+    recompute_delta,
     reference_neighborhood,
     reference_node2vec_step_weights,
     reference_sample_node2vec,
@@ -561,6 +559,45 @@ def test_crawls_equal_per_candidate_references(g, data):
     except ZeroDivisionError:
         assume(False)  # the reference tcpr score fails; see the test below
     assert _sample_outcome(SAMPLERS[name], g, cfg) == want
+
+
+def _realistic_digraph(seed):
+    """2,000 nodes, mean out-degree about 8, weighted, with sinks, a few
+    self-loops and zero-weight edges; every node with out-edges keeps a
+    positive out-strength."""
+    rng = np.random.default_rng(seed)
+    n, m = 2000, 16_000
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    loops = rng.choice(n, 6, replace=False)
+    src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+    w = rng.uniform(0.5, 2.0, src.size)
+    w[rng.random(src.size) < 0.05] = 0.0
+    keep = ~np.isin(src, rng.choice(n, 20, replace=False))
+    g = Graph(n, src[keep], dst[keep], w[keep], directed=True)
+    # a zero-strength node with out-edges breaks the reference tcpr score
+    # (see test_tcpr_zero_weight_edge_from_dangling_member); give it weight
+    src, dst, w = g.edge_arrays()
+    w[g.out_strength[src] <= 0] = 1.0
+    return Graph(n, src, dst, w, directed=True)
+
+
+@pytest.mark.parametrize("exploration_p", [0.1, 1.0])
+@pytest.mark.parametrize("name", ["tcec", "tcpr"])
+def test_crawls_equal_references_at_realistic_degrees(name, exploration_p):
+    g = _realistic_digraph(11)
+    assert g.has_self_loop and np.any(g.edge_arrays()[2] == 0.0)
+    assert np.any(g.out_strength == 0)
+    reference = {"tcec": reference_sample_tcec, "tcpr": reference_sample_tcpr}[name]
+    cfg = SamplerConfig(target_size=300, rng_seed=5, exploration_p=exploration_p)
+    want = _sample_outcome(reference, g, cfg)
+    got = _sample_outcome(SAMPLERS[name], g, cfg)
+    assert got == want
+    assert got[0] == "full"
+    # the default capacity of 100 binds, except for tcpr at the default
+    # exploration_p, which offers fewer than one candidate per admission
+    assert SamplerConfig(1).leaderboard_capacity == 100
+    evictions = json.loads(got[1])["counters"]["leaderboard_evictions"]
+    assert evictions > 0 or (name, exploration_p) == ("tcpr", 0.1)
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40))
