@@ -1,17 +1,16 @@
 """Immutable weighted graph with both out- and in-adjacency.
 
-The graph is stored in compressed sparse form (CSR-style index arrays) for
-both edge directions, one set shared by an undirected graph, so samplers can
-ask for out- and in-neighborhoods in O(degree). Node ids are dense integers
-``0..n-1``; loaders remap arbitrary file ids and return the mapping
-alongside the graph.
+The graph is stored in compressed sparse form (CSR-style index arrays), so
+samplers can ask for out- and in-neighborhoods in O(degree). An undirected
+graph keeps one CSR for both directions; a directed graph builds its in-CSR
+on first use. Node ids are dense integers ``0..n-1``; loaders remap
+arbitrary file ids and return the mapping alongside the graph.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +20,7 @@ from typing import Hashable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParseError, ValidationError, require
+from .errors import ParseError, ValidationError, is_integer, is_real, require
 
 UNKNOWN_LABEL = "unknown"
 
@@ -35,9 +34,9 @@ def _merge_parallel(n, src, dst, w):
 
     A stable sort of ``src * n + dst`` gives the order of ``lexsort((dst,
     src))``, so each pair's weights are summed in input order. Edges already
-    in strictly increasing key order (a saved edge list, a one-block directed
-    SBM) skip the sort. The returned ``dst`` and ``w`` are never the caller's
-    arrays.
+    in strictly increasing key order (a saved edge list, a one-block SBM, an
+    induced subgraph) skip the sort. The returned ``dst`` and ``w`` are never
+    the caller's arrays.
     """
     key = src * n + dst
     if np.all(key[1:] > key[:-1]):
@@ -60,9 +59,58 @@ def _merge_parallel(n, src, dst, w):
 
 
 def _indptr(rows, n):
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return _offsets(np.bincount(rows, minlength=n))
+
+
+def _offsets(counts):
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     return indptr
+
+
+def _symmetric_csr(n, src, dst, w):
+    """The out-CSR ``(indptr, dst, w)`` of the undirected graph on the edges
+    ``src - dst``: each pair once as ``(lo, hi)``, stored both ways.
+
+    The edges are oriented low -> high and merged by ``_merge_parallel``, so
+    each pair's weight is summed once, in input order, and both directions
+    hold its bits. Row ``i`` lists its lower neighbours ``j < i`` first,
+    ascending, taken from scipy's CSR -> CSC transpose of the strict-upper
+    pairs (a stable counting sort by ``hi``), then its own pairs
+    ``(i, j >= i)``, self-loop first.
+    """
+    lo, hi, w = _merge_parallel(n, np.minimum(src, dst), np.maximum(src, dst), w)
+    strict = lo != hi
+    low = sp.csr_matrix(
+        (w[strict], hi[strict], _indptr(lo[strict], n)), shape=(n, n)
+    ).tocsc()
+    del strict
+    own_cnt = np.bincount(lo, minlength=n)
+    low_cnt = np.diff(low.indptr)
+    indptr = _offsets(own_cnt + low_cnt)
+    out_dst = np.empty(indptr[-1], dtype=np.int64)
+    out_w = np.empty(indptr[-1], dtype=np.float64)
+    # a row's own pairs follow its lower neighbours
+    at = np.arange(lo.size)
+    at += (indptr[:-1] + low_cnt - _offsets(own_cnt)[:-1])[lo]
+    out_dst[at], out_w[at] = hi, w
+    del lo, hi, w
+    at = np.arange(low.indices.size)
+    at += np.repeat(indptr[:-1] - low.indptr[:-1], low_cnt)
+    out_dst[at], out_w[at] = low.indices, low.data
+    return indptr, out_dst, out_w
+
+
+def _edge_column(name, values, what, kinds) -> np.ndarray:
+    """``values`` as a 1-D array whose dtype kind is one of ``kinds``; an
+    empty one may have any dtype."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        a = None
+    ok = a is not None and a.ndim == 1 and (a.size == 0 or a.dtype.kind in kinds)
+    require(name, values if a is None else a, f"a 1-D array of {what}", ok)
+    return a
 
 
 class Graph:
@@ -73,20 +121,23 @@ class Graph:
     Parallel edges merge by weight sum. An undirected graph takes each edge
     once, in either orientation, and stores it both ways (a self-loop once),
     so a reversed copy sums like a parallel edge; its in-lists are its out-lists.
+    A directed graph builds its in-lists and ``in_strength`` on first use.
     """
 
     def __init__(self, n: int, src, dst, w, directed: bool):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        src = _edge_column("src", src, "integer node ids", "iu")
+        dst = _edge_column("dst", dst, "integer node ids", "iu")
+        w = _edge_column("w", w, "real weights", "iuf")
         if not (src.shape == dst.shape == w.shape):
             raise ValidationError("edge arrays must have equal length")
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-            raise ValidationError(f"n must be a non-negative integer, got {n!r}")
+        require("n", n, "a non-negative integer", is_integer(n) and n >= 0)
         if n > _MAX_NODES:
             raise ValidationError(f"n={n} exceeds the limit of {_MAX_NODES} nodes")
         if src.size and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ValidationError("edge endpoint out of range")
+        src = src.astype(np.int64, copy=False)
+        dst = dst.astype(np.int64, copy=False)
+        w = w.astype(np.float64, copy=False)
         if not np.all(np.isfinite(w)):
             raise ValidationError("edge weight is NaN or infinite")
         if np.any(w < 0):
@@ -94,36 +145,20 @@ class Graph:
         require("directed", directed, "true or false", isinstance(directed, (bool, np.bool_)))
         self.n = int(n)
         self.directed = bool(directed)
-        if not directed:
-            # orient every edge low -> high first, so that both directions of a
-            # pair merge the same weights in the same order
-            lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-            mirror = lo != hi  # self-loops are stored once
-            src = np.concatenate([lo, hi[mirror]])
-            dst = np.concatenate([hi, lo[mirror]])
-            del lo, hi
-            w = np.concatenate([w, w[mirror]])
-        out_src, self._out_dst, self._out_w = _merge_parallel(n, src, dst, w)
-        del src, dst, w
-        self._out_indptr = _indptr(out_src, n)
+        if directed:
+            out_src, self._out_dst, self._out_w = _merge_parallel(n, src, dst, w)
+            del src, dst, w
+            self._out_indptr = _indptr(out_src, n)
+        else:
+            self._out_indptr, self._out_dst, self._out_w = _symmetric_csr(n, src, dst, w)
+            del src, dst, w
+            out_src = self.edge_src()
         self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
         if not directed:
             # the edge set is symmetric with equal weights both ways, so the
             # in-CSR is the out-CSR
             self._in_indptr, self._in_src, self._in_w = self._out_indptr, self._out_dst, self._out_w
             self.in_strength = self.out_strength
-            return
-        # scipy's CSR -> CSC transpose is a stable counting sort by target, so
-        # each in-list's sources stay ascending; it may narrow the index dtype
-        csc = sp.csr_matrix(
-            (self._out_w, self._out_dst, self._out_indptr), shape=(self.n, self.n)
-        ).tocsc()
-        self._in_indptr = csc.indptr.astype(np.int64)
-        self._in_src = csc.indices.astype(np.int64)
-        self._in_w = csc.data
-        # bincount adds in list order, so each target's in-weights arrive by
-        # ascending source, as in its in-list
-        self.in_strength = np.bincount(self._out_dst, self._out_w, n).astype(np.float64)
 
     # -- construction -------------------------------------------------
 
@@ -135,6 +170,10 @@ class Graph:
             try:
                 if len(e) not in (2, 3):
                     raise ValueError(f"expected (src, dst) or (src, dst, w), got {len(e)} fields")
+                if not (is_integer(e[0]) and is_integer(e[1])):
+                    raise ValueError("node ids must be integers")
+                if len(e) == 3 and not is_real(e[2]):
+                    raise ValueError("the weight must be a real number")
                 src.append(np.int64(e[0]))
                 dst.append(np.int64(e[1]))
                 w.append(np.float64(e[2]) if len(e) == 3 else 1.0)
@@ -159,6 +198,26 @@ class Graph:
         return self._in_src[lo:hi], p[lo:hi], live[lo:hi]
 
     # -- derived data, made on first use --------------------------------
+
+    @cached_property
+    def _in_side(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A directed graph's ``(_in_indptr, _in_src, _in_w, in_strength)``,
+        which the names below read; an undirected graph sets them to its
+        out-side when it is built. Costs 16 bytes per stored edge.
+
+        scipy's CSR -> CSC transpose is a stable counting sort by target, so
+        each in-list's sources stay ascending; it may narrow the index dtype.
+        ``bincount`` adds in list order, so each target's in-weights arrive
+        by ascending source, as in its in-list.
+        """
+        csc = self.to_scipy().tocsc()
+        in_strength = np.bincount(self._out_dst, self._out_w, self.n).astype(np.float64)
+        return csc.indptr.astype(np.int64), csc.indices.astype(np.int64), csc.data, in_strength
+
+    _in_indptr = cached_property(lambda self: self._in_side[0])
+    _in_src = cached_property(lambda self: self._in_side[1])
+    _in_w = cached_property(lambda self: self._in_side[2])
+    in_strength = cached_property(lambda self: self._in_side[3])
 
     @cached_property
     def _in_transition(self) -> tuple[np.ndarray, np.ndarray]:
@@ -211,10 +270,10 @@ class Graph:
         )
 
     def to_scipy_transpose(self):
-        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the stored in-CSR.
+        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the in-CSR, which
+        a directed graph builds on first use.
 
-        No transpose is built and the weights are shared; scipy may narrow the
-        index arrays.
+        The weights are shared; scipy may narrow the index arrays.
         """
         return sp.csr_matrix(
             (self._in_w, self._in_src, self._in_indptr), shape=(self.n, self.n)
@@ -426,7 +485,7 @@ def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
 
     Undirected graphs emit each edge once (the ``src <= dst`` copy).
     """
-    src, dst, w = g.edge_arrays()
+    src, dst, w = g.edge_src(), g._out_dst, g._out_w
     if not g.directed:
         keep = src <= dst
         src, dst, w = src[keep], dst[keep], w[keep]

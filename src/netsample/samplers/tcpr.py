@@ -26,25 +26,25 @@ from ..graph import sorted_lookup
 from .base import SampleResult, SamplerConfig, SampleState, run_criterion_crawl
 
 
-def init_delta(g, state: SampleState, s: int, dangling: np.ndarray, dout: np.ndarray) -> None:
+def init_delta(g, state: SampleState, s: int) -> None:
     """Set delta for a freshly admitted member (mask already includes it).
 
     A dangling member is only recorded; ``member_deltas`` gives its delta.
     """
-    if dangling[s]:
+    dout = float(g.out_strength[s])
+    if dout <= 0:
         state.dangling_members.append(s)
         return
     out_idx, out_w = g.out_neighbors(s)
     keep = ~state.member_mask[out_idx]
-    state.delta[s] = float(np.add.reduce(out_w[keep])) / float(dout[s])
+    state.delta[s] = float(np.add.reduce(out_w[keep])) / dout
 
 
-def update_deltas_on_admit(g, state: SampleState, s: int, dout: np.ndarray) -> None:
+def update_deltas_on_admit(g, state: SampleState, s: int) -> None:
     """Remove the admitted node's term from every non-dangling member's delta.
 
-    No dangling member's delta is stored, so there is none to update.
-    ``dout`` is not read: the terms ``P(x -> s)`` come from
-    ``g.in_transitions``.
+    No dangling member's delta is stored, so there is none to update. The
+    terms ``P(x -> s)`` come from ``g.in_transitions``.
     """
     in_idx, p_in, live = g.in_transitions(s)
     # a dangling member can reach s by a zero-weight edge; it has no delta
@@ -119,8 +119,6 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
     are skipped, and delta bookkeeping runs on every admission.
     """
     state = SampleState.empty(g.n, cfg.leaderboard_capacity, with_delta=True)
-    dout = g.out_strength
-    dangling = dout <= 0
     gamma = cfg.damping
     counters_extra = {"dangling_skipped": 0}
 
@@ -128,8 +126,8 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         return tcpr_score(g, state, j, gamma)
 
     def on_admit(node):
-        init_delta(g, state, node, dangling, dout)
-        update_deltas_on_admit(g, state, node, dout)
+        init_delta(g, state, node)
+        update_deltas_on_admit(g, state, node)
 
     def offer_candidates(node):
         cands, _, live = g.in_transitions(node)  # sorted and distinct

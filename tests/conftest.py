@@ -869,13 +869,12 @@ def reference_sample_tcec(g: Graph, cfg):
 
 def reference_sample_tcpr(g: Graph, cfg):
     state = SampleState.empty(g.n, cfg.leaderboard_capacity, with_delta=True)
-    dout = g.out_strength
-    dangling = dout <= 0
+    dangling = g.out_strength <= 0
     extra = {"dangling_skipped": 0}
 
     def on_admit(node):
-        init_delta(g, state, node, dangling, dout)
-        update_deltas_on_admit(g, state, node, dout)
+        init_delta(g, state, node)
+        update_deltas_on_admit(g, state, node)
 
     def offer_candidates(node):
         cands = np.unique(g.in_neighbors(node)[0])

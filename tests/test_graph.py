@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsample import graph
+from netsample import SamplerConfig, graph
+from netsample.centrality import betweenness
 from netsample.errors import ParseError, ValidationError
 from netsample.graph import (
     Graph,
@@ -20,6 +21,7 @@ from netsample.graph import (
     load_labels,
     save_edge_list,
 )
+from netsample.samplers.baselines import sample_random_walk
 from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
@@ -149,6 +151,29 @@ def test_validation_rejects_bad_edges():
         for src, dst, w in mismatched:
             with pytest.raises(ValidationError, match="^edge arrays must have equal length$"):
                 Graph(3, src, dst, w, directed=directed)
+    # ids are 1-D integer arrays, not floats or bools; weights are 1-D and real
+    bad = [
+        ("src", ([0.5], [1], [1.0])),
+        ("src", ([True], [1], [1.0])),
+        ("dst", ([0, 1], [np.int64(1), "1"], [1.0, 1.0])),
+        ("src", ([[0]], [[1]], [[1.0]])),
+        ("src", ([[0], [0, 1]], [1], [1.0])),
+        ("src", (0, 1, 1.0)),
+        ("w", ([0], [1], ["x"])),
+        ("w", ([0], [1], [True])),
+        ("w", ([0], [1], [1j])),
+        ("w", ([0], [1], [None])),
+    ]
+    for name, (src, dst, w) in bad:
+        with pytest.raises(ValidationError, match=f"^{name} must be a 1-D array of "):
+            Graph(3, src, dst, w, directed=True)
+    # an empty array of any dtype is no edges; np.asarray([]) is float64
+    for empty in ([], np.array([], dtype=bool), np.array([], dtype="U1")):
+        assert Graph(3, empty, empty, empty, directed=False).num_edges == 0
+    wide = Graph(3, np.array([0], np.uint64), np.array([2], np.int8), [2], directed=True)
+    assert wide.out_neighbors(0)[0].tolist() == [2] and wide.out_neighbors(0)[1].tolist() == [2.0]
+    with pytest.raises(ValidationError, match="out of range"):
+        Graph(3, np.array([2**63], np.uint64), [1], [1.0], directed=True)
 
 
 def test_undirected_edge_given_high_to_low_is_stored_both_ways(tmp_path):
@@ -161,6 +186,49 @@ def test_undirected_edge_given_high_to_low_is_stored_both_ways(tmp_path):
     src, dst, _ = g2.edge_arrays()
     assert mapping.sub_to_full.tolist() == [0, 1]
     assert src.tolist() == [0, 1] and dst.tolist() == [1, 0]
+
+
+@st.composite
+def undirected_edges(draw):
+    """Undirected edge arrays with pairs in both orientations, duplicates,
+    self-loops and zero weights, in drawn order or presorted."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    if pairs:
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2 * n))]
+    if draw(st.booleans()):
+        # distinct pairs in increasing (low, high) order skip the build's sort
+        pairs = sorted({(min(p), max(p)) for p in pairs})
+    flip = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [(b, a) if f else (a, b) for (a, b), f in zip(pairs, flip)]
+    weight = st.sampled_from([0.0, -0.0, 1e-7, 0.1, 1 / 3, 1.0, 2.5])
+    w = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    return n, src, dst, np.array(w)
+
+
+@settings(max_examples=300)
+@given(undirected_edges())
+def test_undirected_build_bitwise_equals_mirrored_reference(case):
+    n, src, dst, w = case
+    g = Graph(n, src, dst, w, directed=False)
+    assert_bitwise_equal(graph_arrays(g), reference_graph_arrays(n, src, dst, w, False))
+
+
+def test_directed_graph_builds_its_in_side_on_first_use(tmp_path, rng):
+    src, dst = rng.integers(0, 30, 150), rng.integers(0, 30, 150)
+    w = rng.random(150)
+    g = Graph(30, src, dst, w, directed=True)
+    save_edge_list(g, tmp_path / "g.txt")
+    g.edge_arrays()
+    betweenness(g)
+    sample_random_walk(g, SamplerConfig(target_size=10, rng_seed=0))
+    assert "_in_side" not in vars(g)
+    g.in_neighbors(0)
+    assert {"_in_side", "_in_indptr", "_in_src", "_in_w"} <= vars(g).keys()
+    assert_bitwise_equal(graph_arrays(g), reference_graph_arrays(30, src, dst, w, True))
 
 
 @given(small_graphs(weighted=True), st.lists(st.integers(0, 11), min_size=1))
@@ -217,7 +285,10 @@ def test_in_transitions_hold_the_quotients_of_the_in_lists(g):
             a[:1] = 0
 
 
-@pytest.mark.parametrize("bad", [(0,), (0, 1, 1.0, 2), (0, "x"), 5])
+@pytest.mark.parametrize(
+    "bad",
+    [(0,), (0, 1, 1.0, 2), (0, "x"), 5, (0.5, 1), (True, 1), (0, 1.0), (0, 1, "x"), (0, 1, True)],
+)
 def test_from_edges_names_bad_edge(bad):
     with pytest.raises(ValidationError, match=r"^edge 1 "):
         Graph.from_edges(3, [(0, 1), bad, (1, 2)], directed=True)
@@ -371,11 +442,12 @@ def test_save_edge_list_memory_is_flat_in_the_edge_count(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    arrays = traced_peak(g.edge_arrays)
+    # the writer's one array over all edges is the edge sources
+    sources = traced_peak(g.edge_src)
     save = traced_peak(lambda: save_edge_list(g, tmp_path / "g.txt"))
-    # a block's buffers are a few times block * 8 bytes; one array over all
-    # edges (8 * num_edges) would exceed the margin by far
-    assert save - arrays < 16 * block * 8, (save, arrays)
+    # a block's buffers are a few times block * 8 bytes; one more array over
+    # all edges (8 * num_edges) would exceed the margin by far
+    assert save - sources < 16 * block * 8, (save, sources)
 
 
 def test_build_and_load_peaks_stay_near_the_graphs_size(tmp_path):

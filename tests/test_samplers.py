@@ -382,14 +382,12 @@ def test_tcpr_delta_updates_match_recomputation(rng):
     src, dst, w = g.edge_arrays()
     keep = ~np.isin(src, [17, 9])
     g = Graph(30, src[keep], dst[keep], w[keep], directed=True)
-    dout = g.out_strength
-    dangling = dout <= 0
     state = SampleState.empty(30, capacity=10, with_delta=True)
     for s in [4, 17, 2, 9, 25]:
         state.members.append(s)
         state.member_mask[s] = True
-        init_delta(g, state, s, dangling, dout)
-        update_deltas_on_admit(g, state, s, dout)
+        init_delta(g, state, s)
+        update_deltas_on_admit(g, state, s)
         for x in state.members:
             assert member_deltas(g, state, [x])[0] == pytest.approx(
                 recompute_delta(g, state.member_mask, x), abs=1e-12
@@ -434,15 +432,14 @@ def _bits(x) -> bytes:
 def _state_holding(g, members, with_delta):
     """Crawl state after admitting ``members`` in order, as the crawl does."""
     state = SampleState.empty(g.n, capacity=10, with_delta=with_delta)
-    dout = g.out_strength
     for s in members:
         state.members.append(s)
         state.member_mask[s] = True
         out_idx, out_w = g.out_neighbors(s)
         np.add.at(state.in_sample_indegree, out_idx, out_w)
         if with_delta:
-            init_delta(g, state, s, dout <= 0, dout)
-            update_deltas_on_admit(g, state, s, dout)
+            init_delta(g, state, s)
+            update_deltas_on_admit(g, state, s)
     return state
 
 
