@@ -1,10 +1,10 @@
 """Immutable weighted graph with both out- and in-adjacency.
 
-The graph is stored in compressed sparse form (CSR-style index arrays), so
-samplers can ask for out- and in-neighborhoods in O(degree). An undirected
-graph keeps one CSR for both directions; a directed graph builds its in-CSR
-on first use. Node ids are dense integers ``0..n-1``; loaders remap
-arbitrary file ids and return the mapping alongside the graph.
+The graph is stored in compressed sparse form (CSR-style index arrays) for
+both edge directions, one set shared by an undirected graph, so samplers can
+ask for out- and in-neighborhoods in O(degree). Node ids are dense integers
+``0..n-1``; loaders remap arbitrary file ids and return the mapping
+alongside the graph.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ class Graph:
     Parallel edges merge by weight sum. An undirected graph takes each edge
     once, in either orientation, and stores it both ways (a self-loop once),
     so a reversed copy sums like a parallel edge; its in-lists are its out-lists.
-    A directed graph builds its in-lists and ``in_strength`` on first use.
     """
 
     def __init__(self, n: int, src, dst, w, directed: bool):
@@ -154,11 +153,24 @@ class Graph:
             del src, dst, w
             out_src = self.edge_src()
         self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
+        del out_src
         if not directed:
             # the edge set is symmetric with equal weights both ways, so the
             # in-CSR is the out-CSR
             self._in_indptr, self._in_src, self._in_w = self._out_indptr, self._out_dst, self._out_w
             self.in_strength = self.out_strength
+            return
+        # scipy's CSR -> CSC transpose is a stable counting sort by target, so
+        # each in-list's sources stay ascending; it may narrow the index dtype
+        csc = sp.csr_matrix(
+            (self._out_w, self._out_dst, self._out_indptr), shape=(self.n, self.n)
+        ).tocsc()
+        self._in_indptr = csc.indptr.astype(np.int64)
+        self._in_src = csc.indices.astype(np.int64)
+        self._in_w = csc.data
+        # bincount adds in list order, so each target's in-weights arrive by
+        # ascending source, as in its in-list
+        self.in_strength = np.bincount(self._out_dst, self._out_w, n).astype(np.float64)
 
     # -- construction -------------------------------------------------
 
@@ -198,26 +210,6 @@ class Graph:
         return self._in_src[lo:hi], p[lo:hi], live[lo:hi]
 
     # -- derived data, made on first use --------------------------------
-
-    @cached_property
-    def _in_side(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A directed graph's ``(_in_indptr, _in_src, _in_w, in_strength)``,
-        which the names below read; an undirected graph sets them to its
-        out-side when it is built. Costs 16 bytes per stored edge.
-
-        scipy's CSR -> CSC transpose is a stable counting sort by target, so
-        each in-list's sources stay ascending; it may narrow the index dtype.
-        ``bincount`` adds in list order, so each target's in-weights arrive
-        by ascending source, as in its in-list.
-        """
-        csc = self.to_scipy().tocsc()
-        in_strength = np.bincount(self._out_dst, self._out_w, self.n).astype(np.float64)
-        return csc.indptr.astype(np.int64), csc.indices.astype(np.int64), csc.data, in_strength
-
-    _in_indptr = cached_property(lambda self: self._in_side[0])
-    _in_src = cached_property(lambda self: self._in_side[1])
-    _in_w = cached_property(lambda self: self._in_side[2])
-    in_strength = cached_property(lambda self: self._in_side[3])
 
     @cached_property
     def _in_transition(self) -> tuple[np.ndarray, np.ndarray]:
@@ -270,10 +262,10 @@ class Graph:
         )
 
     def to_scipy_transpose(self):
-        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the in-CSR, which
-        a directed graph builds on first use.
+        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the stored in-CSR.
 
-        The weights are shared; scipy may narrow the index arrays.
+        No transpose is built and the weights are shared; scipy may narrow the
+        index arrays.
         """
         return sp.csr_matrix(
             (self._in_w, self._in_src, self._in_indptr), shape=(self.n, self.n)

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsample import SamplerConfig, graph
-from netsample.centrality import betweenness
+from netsample import graph
 from netsample.errors import ParseError, ValidationError
 from netsample.graph import (
     Graph,
@@ -21,7 +20,6 @@ from netsample.graph import (
     load_labels,
     save_edge_list,
 )
-from netsample.samplers.baselines import sample_random_walk
 from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
@@ -215,20 +213,6 @@ def test_undirected_build_bitwise_equals_mirrored_reference(case):
     n, src, dst, w = case
     g = Graph(n, src, dst, w, directed=False)
     assert_bitwise_equal(graph_arrays(g), reference_graph_arrays(n, src, dst, w, False))
-
-
-def test_directed_graph_builds_its_in_side_on_first_use(tmp_path, rng):
-    src, dst = rng.integers(0, 30, 150), rng.integers(0, 30, 150)
-    w = rng.random(150)
-    g = Graph(30, src, dst, w, directed=True)
-    save_edge_list(g, tmp_path / "g.txt")
-    g.edge_arrays()
-    betweenness(g)
-    sample_random_walk(g, SamplerConfig(target_size=10, rng_seed=0))
-    assert "_in_side" not in vars(g)
-    g.in_neighbors(0)
-    assert {"_in_side", "_in_indptr", "_in_src", "_in_w"} <= vars(g).keys()
-    assert_bitwise_equal(graph_arrays(g), reference_graph_arrays(30, src, dst, w, True))
 
 
 @given(small_graphs(weighted=True), st.lists(st.integers(0, 11), min_size=1))
