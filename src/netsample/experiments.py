@@ -230,13 +230,13 @@ def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> Sampler
 
 
 def _graph_digest(g: Graph) -> str:
-    src, dst, w = g.edge_arrays()
+    """sha256 of ``n``, the kind and the bytes of ``g.edge_arrays()``, hashed
+    from the stored out-CSR without copies."""
     h = hashlib.sha256()
     h.update(np.int64(g.n).tobytes())
     h.update(b"directed" if g.directed else b"undirected")
-    h.update(src.tobytes())
-    h.update(dst.tobytes())
-    h.update(w.tobytes())
+    for a in (g.edge_src(), g._out_dst, g._out_w):
+        h.update(a)
     return h.hexdigest()
 
 

@@ -2,9 +2,9 @@
 
 The graph is stored in compressed sparse form (CSR-style index arrays) for
 both edge directions, one set shared by an undirected graph, so samplers can
-ask for out- and in-neighborhoods in O(degree). Node ids are dense integers
-``0..n-1``; loaders remap arbitrary file ids and return the mapping
-alongside the graph.
+ask for out- and in-neighborhoods in O(degree); a directed graph builds its
+in-CSR on first read. Node ids are dense integers ``0..n-1``; loaders remap
+arbitrary file ids and return the mapping alongside the graph.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ UNKNOWN_LABEL = "unknown"
 
 # the out-list sort key src * n + dst must not overflow int64
 _MAX_NODES = math.isqrt(2**63 - 1)
+# a directed graph's in-CSR and in-strengths: ``_InSideUnbuilt`` builds all
+# four on the first read of any
+_IN_SIDE = frozenset(("_in_indptr", "_in_src", "_in_w", "in_strength"))
 
 
 def _merge_parallel(n, src, dst, w):
@@ -121,6 +124,7 @@ class Graph:
     Parallel edges merge by weight sum. An undirected graph takes each edge
     once, in either orientation, and stores it both ways (a self-loop once),
     so a reversed copy sums like a parallel edge; its in-lists are its out-lists.
+    A directed graph builds its in-lists and ``in_strength`` on first read.
     """
 
     def __init__(self, n: int, src, dst, w, directed: bool):
@@ -152,25 +156,16 @@ class Graph:
             self._out_indptr, self._out_dst, self._out_w = _symmetric_csr(n, src, dst, w)
             del src, dst, w
             out_src = self.edge_src()
-        self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64)
+        # astype keeps float64 when there are no edges, without a copy otherwise
+        self.out_strength = np.bincount(out_src, self._out_w, n).astype(np.float64, copy=False)
         del out_src
-        if not directed:
+        if directed:
+            self.__class__ = _InSideUnbuilt
+        else:
             # the edge set is symmetric with equal weights both ways, so the
             # in-CSR is the out-CSR
             self._in_indptr, self._in_src, self._in_w = self._out_indptr, self._out_dst, self._out_w
             self.in_strength = self.out_strength
-            return
-        # scipy's CSR -> CSC transpose is a stable counting sort by target, so
-        # each in-list's sources stay ascending; it may narrow the index dtype
-        csc = sp.csr_matrix(
-            (self._out_w, self._out_dst, self._out_indptr), shape=(self.n, self.n)
-        ).tocsc()
-        self._in_indptr = csc.indptr.astype(np.int64)
-        self._in_src = csc.indices.astype(np.int64)
-        self._in_w = csc.data
-        # bincount adds in list order, so each target's in-weights arrive by
-        # ascending source, as in its in-list
-        self.in_strength = np.bincount(self._out_dst, self._out_w, n).astype(np.float64)
 
     # -- construction -------------------------------------------------
 
@@ -262,10 +257,10 @@ class Graph:
         )
 
     def to_scipy_transpose(self):
-        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the stored in-CSR.
+        """``A^T`` as ``scipy.sparse.csr_matrix``, wrapping the in-CSR, which
+        a directed graph builds on first read.
 
-        No transpose is built and the weights are shared; scipy may narrow the
-        index arrays.
+        The weights are shared; scipy may narrow the index arrays.
         """
         return sp.csr_matrix(
             (self._in_w, self._in_src, self._in_indptr), shape=(self.n, self.n)
@@ -274,6 +269,30 @@ class Graph:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, edges={self.num_edges}, {kind})"
+
+
+class _InSideUnbuilt(Graph):
+    """A directed ``Graph`` before the first read of a name in ``_IN_SIDE``,
+    which builds all four (16 bytes per stored edge) and makes the instance a
+    plain ``Graph``. A ``__getattr__`` on ``Graph`` itself would keep CPython
+    from specializing any attribute read of any graph.
+    """
+
+    def __getattr__(self, name):
+        # called only when normal lookup fails
+        if name not in _IN_SIDE:
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        # scipy's CSR -> CSC transpose is a stable counting sort by target, so
+        # each in-list's sources stay ascending; it may narrow the index dtype.
+        # bincount adds in list order, so each target's in-weights arrive by
+        # ascending source, as in its in-list
+        csc = self.to_scipy().tocsc()
+        self._in_indptr = csc.indptr.astype(np.int64)
+        self._in_src = csc.indices.astype(np.int64)
+        self._in_w = csc.data
+        self.in_strength = np.bincount(self._out_dst, self._out_w, self.n).astype(np.float64, copy=False)
+        self.__class__ = Graph
+        return vars(self)[name]
 
 
 @dataclass(frozen=True)

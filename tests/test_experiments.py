@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from netsample.errors import NetsampleError, ValidationError
 from netsample.experiments import (
     ExperimentSpec,
     RunResult,
+    _graph_digest,
     _rep_seeds,
     aggregate_rows,
     full_centrality,
@@ -414,6 +416,17 @@ def test_full_centrality_cache(tmp_path, monkeypatch):
     assert np.array_equal(v1.scores, v2.scores)
     with pytest.raises(ValidationError):
         full_centrality(g, "mystery", spec)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_graph_digest_hashes_the_bytes_of_edge_arrays(directed):
+    # the cache tags of existing centrality caches stay valid
+    g, _ = generate_sbm(SbmSpec((30, 50), 0.2, 0.05, directed=directed, rng_seed=3))
+    h = hashlib.sha256(np.int64(g.n).tobytes())
+    h.update(b"directed" if directed else b"undirected")
+    for a in g.edge_arrays():
+        h.update(a.tobytes())
+    assert _graph_digest(g) == h.hexdigest()
 
 
 def test_full_centrality_cache_keeps_convergence_metadata(tmp_path, monkeypatch):

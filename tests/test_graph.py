@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsample import graph
+from netsample import SamplerConfig, graph
+from netsample.centrality import betweenness
 from netsample.errors import ParseError, ValidationError
 from netsample.graph import (
     Graph,
@@ -20,6 +23,8 @@ from netsample.graph import (
     load_labels,
     save_edge_list,
 )
+from netsample.experiments import _graph_digest
+from netsample.samplers.baselines import sample_random_walk
 from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
@@ -213,6 +218,65 @@ def test_undirected_build_bitwise_equals_mirrored_reference(case):
     n, src, dst, w = case
     g = Graph(n, src, dst, w, directed=False)
     assert_bitwise_equal(graph_arrays(g), reference_graph_arrays(n, src, dst, w, False))
+
+
+def in_side_built(g):
+    """The in-side names and the in-transitions a graph holds as attributes."""
+    return (graph._IN_SIDE | {"_in_transition"}) & vars(g).keys()
+
+
+def test_out_side_work_leaves_a_directed_graphs_in_side_unbuilt(tmp_path):
+    g, _ = generate_sbm(SbmSpec((40, 40), 0.1, 0.02, directed=True, rng_seed=0))
+    save_edge_list(g, tmp_path / "g.txt")
+    loaded, _ = load_edge_list(tmp_path / "g.txt", directed=True)
+    g.edge_arrays()
+    g.to_scipy()
+    betweenness(g)
+    sub, _ = induced_subgraph(g, range(50))
+    sample_random_walk(g, SamplerConfig(target_size=20, rng_seed=0))
+    _graph_digest(g)
+    for h in (g, loaded, sub):
+        assert not in_side_built(h)
+
+
+IN_SIDE_READS = {
+    "in_neighbors": lambda g: g.in_neighbors(0),
+    "in_transitions": lambda g: g.in_transitions(0),
+    "in_strength": lambda g: g.in_strength,
+    "to_scipy_transpose": lambda g: g.to_scipy_transpose(),
+}
+
+
+@given(undirected_edges(), st.sampled_from(sorted(IN_SIDE_READS)))
+def test_first_in_side_read_builds_the_reference_arrays(case, read):
+    # the drawn edges hold self-loops, zero weights and parallel edges
+    n, src, dst, w = case
+    g = Graph(n, src, dst, w, directed=True)
+    assert not in_side_built(g)
+    IN_SIDE_READS[read](g)
+    # a plain Graph, whose attribute reads carry no hook
+    assert type(g) is Graph and graph._IN_SIDE <= vars(g).keys()
+    assert_bitwise_equal(graph_arrays(g), reference_graph_arrays(n, src, dst, w, True))
+
+
+@pytest.mark.parametrize("built", [False, True])
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+def test_directed_graph_copies_before_and_after_its_in_side_is_built(rng, copier, built):
+    src, dst, w = rng.integers(0, 30, 150), rng.integers(0, 30, 150), rng.random(150)
+    g = Graph(30, src, dst, w, directed=True)
+    if built:
+        g.in_neighbors(0)
+    h = copier(g)
+    assert (graph._IN_SIDE <= vars(h).keys()) == built == (type(h) is Graph)
+    assert_bitwise_equal(graph_arrays(h), reference_graph_arrays(30, src, dst, w, True))
+
+
+def test_in_side_read_on_a_half_made_graph_raises_attribute_error():
+    half = graph._InSideUnbuilt.__new__(graph._InSideUnbuilt)
+    for name in (*graph._IN_SIDE, "_out_w"):
+        assert not hasattr(half, name)
+    with pytest.raises(AttributeError, match="'_out_w'"):
+        half.in_neighbors(0)
 
 
 @given(small_graphs(weighted=True), st.lists(st.integers(0, 11), min_size=1))
@@ -435,27 +499,29 @@ def test_save_edge_list_memory_is_flat_in_the_edge_count(tmp_path, monkeypatch):
 
 
 def test_build_and_load_peaks_stay_near_the_graphs_size(tmp_path):
-    def traced_peak(fn):
+    def peak_over_size(fn):
+        """The graph ``fn`` returns, and its traced peak over the bytes of the
+        arrays the graph holds when the trace ends."""
         tracemalloc.start()
         try:
-            out = fn()
-            return out, tracemalloc.get_traced_memory()[1]
+            g, _ = fn()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    def size(g):
-        return sum(a.nbytes for a in graph_arrays(g).values())
+        return g, peak / sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
 
     spec = SbmSpec((20_000,), 5e-4, 0.0, directed=True, rng_seed=0)
-    (g, _), sbm_peak = traced_peak(lambda: generate_sbm(spec))
+    g, sbm_ratio = peak_over_size(lambda: generate_sbm(spec))
     assert g.num_edges > 190_000
     save_edge_list(g, tmp_path / "g.txt")
-    (loaded, _), load_peak = traced_peak(lambda: load_edge_list(tmp_path / "g.txt", True))
-    # beside the graph, a build needs little more than its input's src and dst
-    # (16 of the graph's 32 bytes per edge); sorting presorted edges, copying
-    # them and keeping the parsed rows alive took 3.2x and 2.6x
-    assert sbm_peak < 2.0 * size(g), sbm_peak / size(g)
-    assert load_peak < 2.0 * size(loaded), load_peak / size(loaded)
+    loaded, load_ratio = peak_over_size(lambda: load_edge_list(tmp_path / "g.txt", True))
+    # a directed graph holds its out-side, 16 bytes per edge, until its first
+    # in-side read, and a build needs little more beside it than its input's
+    # src and dst (16 bytes per edge); sorting presorted edges, copying them
+    # and keeping the parsed rows alive took 3.2x and 2.6x of the whole graph
+    assert not in_side_built(g) and not in_side_built(loaded)
+    assert sbm_ratio < 2.0, sbm_ratio
+    assert load_ratio < 2.0, load_ratio
 
 
 def test_parse_error_carries_location(tmp_path):
