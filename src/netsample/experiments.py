@@ -163,7 +163,7 @@ def _sampler_entry(entry) -> dict:
         )
     entry = {"name": name, "config": dict(config)}
     try:
-        _build_config(entry, 1, 0, 0).validate(1)
+        _build_config(entry, 1, 0, 0)
     except ValidationError as exc:
         raise ValidationError(f"sampler {name!r}: {exc}") from None
     return entry

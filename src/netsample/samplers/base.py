@@ -17,9 +17,13 @@ RESTART_PROB = 0.15
 STEP_BUDGET_FACTOR = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     """Knobs shared by all samplers; criterion samplers read most of them.
+
+    A config checks its fields when it is built, so one that exists is
+    valid. Only the two bounds that need the graph wait for ``validate(n)``:
+    ``target_size <= n`` and a seed node in ``0..n-1``.
 
     ``alpha=None`` resolves at run time to 0 for undirected graphs and 0.5
     for directed ones. ``seed_nodes`` holds at most one starting node; empty
@@ -39,21 +43,20 @@ class SamplerConfig:
     node2vec_p: float = 2.0
     node2vec_q: float = 0.5
 
-    def __post_init__(self):
-        seeds = self.seed_nodes
-        ok = isinstance(seeds, (tuple, list, np.ndarray)) and all(map(is_integer, seeds))
-        require("seed_nodes", seeds, "a sequence of integers", ok)
-        self.seed_nodes = tuple(int(s) for s in seeds)
-
     INT_FIELDS = ("target_size", "leaderboard_capacity", "rng_seed")
     REAL_FIELDS = (
         "rw_init_fraction", "alpha", "exploration_p", "damping", "node2vec_p", "node2vec_q"
     )
 
-    def validate(self, n: int) -> None:
+    def __post_init__(self):
+        seeds = self.seed_nodes
+        ok = isinstance(seeds, (tuple, list, np.ndarray)) and all(map(is_integer, seeds))
+        require("seed_nodes", seeds, "a sequence of integers", ok)
+        object.__setattr__(self, "seed_nodes", tuple(int(s) for s in seeds))
         for name in self.INT_FIELDS:
             value = getattr(self, name)
             require(name, value, "an integer", is_integer(value))
+        require("target_size", self.target_size, "an integer >= 1", self.target_size >= 1)
         require("rng_seed", self.rng_seed, "an integer >= 0", self.rng_seed >= 0)
         for name in self.REAL_FIELDS:
             value = getattr(self, name)
@@ -61,12 +64,8 @@ class SamplerConfig:
             require(name, value, "a real number", ok)
         rescore = self.rescore_on_pop
         require("rescore_on_pop", rescore, "true or false", isinstance(rescore, (bool, np.bool_)))
-        if not 1 <= self.target_size <= n:
-            raise ValidationError(f"target size {self.target_size} not in 1..{n}")
         if len(self.seed_nodes) > 1:
             raise ValidationError(f"at most one seed node allowed, got {list(self.seed_nodes)}")
-        if self.seed_nodes and not 0 <= self.seed_nodes[0] < n:
-            raise ValidationError(f"seed node {self.seed_nodes[0]} not in 0..{n - 1}")
         if self.leaderboard_capacity < 1:
             raise ValidationError("leaderboard capacity must be >= 1")
         if not 0.0 < self.rw_init_fraction <= 1.0:
@@ -79,6 +78,13 @@ class SamplerConfig:
             raise ValidationError("damping must lie in [0, 1)")
         if not (self.node2vec_p > 0 and self.node2vec_q > 0):
             raise ValidationError("node2vec_p and node2vec_q must be positive")
+
+    def validate(self, n: int) -> None:
+        """Check the fields that the graph's node count ``n`` bounds."""
+        if self.target_size > n:
+            raise ValidationError(f"target size {self.target_size} not in 1..{n}")
+        if self.seed_nodes and not 0 <= self.seed_nodes[0] < n:
+            raise ValidationError(f"seed node {self.seed_nodes[0]} not in 0..{n - 1}")
 
     def resolved_alpha(self, directed: bool) -> float:
         if self.alpha is not None:
@@ -140,14 +146,14 @@ class Leaderboard:
     """Bounded best-score buffer of border candidates.
 
     Pop returns the highest score; ties go to the earliest insertion. When
-    full, the lowest score is evicted (ties: the latest insertion goes).
-    Scores are computed at insertion time and not refreshed unless the owner
-    rescans entries (``rescore_on_pop`` mode).
+    full, the lowest score is evicted (ties: the latest insertion goes). A
+    score changes only when its node is offered again, which keeps the
+    node's insertion order; the owner decides when scores are refreshed.
 
     Two binary heaps find the best and the worst entry in O(log capacity):
     the best-heap is keyed by ``(-score, insertion_step)``, the worst-heap by
-    ``(score, -insertion_step)``. A rescore pushes fresh heap entries and
-    leaves the old ones behind; removals leave theirs behind too. A heap
+    ``(score, -insertion_step)``. A changed score pushes fresh heap entries
+    and leaves the old ones behind; removals leave theirs behind too. A heap
     entry is live only while its version is the node's current one, and dead
     entries are skipped when they reach the top. Both heaps are rebuilt from
     the live entries once either holds ``COMPACT_FACTOR * capacity`` items.
@@ -158,7 +164,7 @@ class Leaderboard:
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
         self._limit = self.COMPACT_FACTOR * self.capacity
-        # node -> [score, insertion_step, epoch, version]
+        # node -> [score, insertion_step, version]
         self._entries: dict[int, list] = {}
         self._best: list[tuple] = []  # (-score, step, node, version)
         self._worst: list[tuple] = []  # (score, -step, node, version)
@@ -180,12 +186,12 @@ class Leaderboard:
 
     def _push(self, node: int, ent: list) -> None:
         self._versions += 1
-        ent[3] = self._versions
-        heapq.heappush(self._best, (-ent[0], ent[1], node, ent[3]))
-        heapq.heappush(self._worst, (ent[0], -ent[1], node, ent[3]))
+        ent[2] = self._versions
+        heapq.heappush(self._best, (-ent[0], ent[1], node, ent[2]))
+        heapq.heappush(self._worst, (ent[0], -ent[1], node, ent[2]))
         if len(self._best) > self._limit or len(self._worst) > self._limit:
-            self._best = [(-e[0], e[1], v, e[3]) for v, e in self._entries.items()]
-            self._worst = [(e[0], -e[1], v, e[3]) for v, e in self._entries.items()]
+            self._best = [(-e[0], e[1], v, e[2]) for v, e in self._entries.items()]
+            self._worst = [(e[0], -e[1], v, e[2]) for v, e in self._entries.items()]
             heapq.heapify(self._best)
             heapq.heapify(self._worst)
 
@@ -194,35 +200,24 @@ class Leaderboard:
         while True:
             _, _, node, version = heapq.heappop(heap)
             ent = self._entries.get(node)
-            if ent is not None and ent[3] == version:
+            if ent is not None and ent[2] == version:
                 del self._entries[node]
                 return node
 
-    def _rescore(self, node: int, ent: list, score: float, epoch: int) -> None:
-        changed = ent[0] != score
-        ent[0] = score
-        ent[2] = epoch
-        if changed:
-            self._push(node, ent)
-
-    def offer(self, node: int, score: float, epoch: int = 0) -> None:
+    def offer(self, node: int, score: float) -> None:
         ent = self._entries.get(node)
         if ent is not None:
             # fresher score, original insertion order
-            self._rescore(node, ent, score, epoch)
+            if ent[0] != score:
+                ent[0] = score
+                self._push(node, ent)
             return
         self._steps += 1
-        ent = self._entries[node] = [score, self._steps, epoch, 0]
+        ent = self._entries[node] = [score, self._steps, 0]
         self._push(node, ent)
         if len(self._entries) > self.capacity:
             self._pop_live(self._worst)
             self.evictions += 1
-
-    def set_score(self, node: int, score: float, epoch: int) -> None:
-        self._rescore(node, self._entries[node], score, epoch)
-
-    def stale_nodes(self, epoch: int) -> list[int]:
-        return [node for node, e in self._entries.items() if e[2] != epoch]
 
     def pop_best(self) -> int | None:
         if not self._entries:
@@ -320,13 +315,6 @@ def pick_seed(cfg: SamplerConfig, g, rng) -> int:
     return int(rng.integers(g.n))
 
 
-def _refresh_leaderboard(state, score_fn):
-    """Rescore every stale entry so the next pop is an exact argmax."""
-    epoch = state.k
-    for node in state.leaderboard.stale_nodes(epoch):
-        state.leaderboard.set_score(node, score_fn(node), epoch)
-
-
 def run_criterion_crawl(
     g,
     cfg: SamplerConfig,
@@ -344,7 +332,9 @@ def run_criterion_crawl(
     empty) until ``m`` nodes are sampled. ``offer_candidates(node)`` returns
     the distinct candidates (an integer array) to score when ``node`` enters
     the sample; ``on_admit`` runs state bookkeeping before candidates are
-    offered.
+    offered. With ``rescore_on_pop``, every entry not offered in the latest
+    admission is offered again with a fresh score before each pop, so the
+    pop is the exact argmax over the leaderboard.
     """
     cfg.validate(g.n)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -352,8 +342,10 @@ def run_criterion_crawl(
     tags: list[str] = []
     counters = {"scored_candidates": 0, "fallback_events": 0, "rw_steps": 0}
     budget = STEP_BUDGET_FACTOR * m
+    offered: list[int] = []  # the candidates of the latest admission, scored after it
 
     def admit(node: int, tag: str) -> None:
+        nonlocal offered
         state.members.append(node)
         state.member_mask[node] = True
         tags.append(tag)
@@ -369,9 +361,9 @@ def run_criterion_crawl(
             # one draw per surviving candidate, in candidate order
             cands = cands[rng.random(cands.size) < cfg.exploration_p]
         counters["scored_candidates"] += cands.size
-        offer, epoch = state.leaderboard.offer, state.k
-        for cand in cands.tolist():
-            offer(cand, score_fn(cand), epoch)
+        offer, offered = state.leaderboard.offer, cands.tolist()
+        for cand in offered:
+            offer(cand, score_fn(cand))
         if step_callback is not None:
             step_callback(state, node, tag)
 
@@ -396,7 +388,10 @@ def run_criterion_crawl(
     # phase 2: criterion-driven growth
     while state.k < m:
         if cfg.rescore_on_pop:
-            _refresh_leaderboard(state, score_fn)
+            fresh = set(offered)
+            for node in state.leaderboard.nodes():
+                if node not in fresh:
+                    state.leaderboard.offer(node, score_fn(node))
         node = state.leaderboard.pop_best()
         if node is not None:
             admit(node, "criterion")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, from_mapping, is_integer, is_label, is_real, require
-from .graph import Graph, LabeledPartition
+from .graph import _MAX_NODES, Graph, LabeledPartition
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class SbmSpec:
         ok = ok and all(is_integer(b) and b >= 1 for b in sizes)
         require("block_sizes", sizes, "a non-empty list of integers >= 1", ok)
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in sizes))
+        if self.n > _MAX_NODES:
+            raise ValidationError(f"block_sizes sum to {self.n}, over the {_MAX_NODES}-node limit")
         for name in ("p_in", "p_out"):
             p = getattr(self, name)
             require(name, p, "a real number in [0, 1]", is_real(p) and 0.0 <= p <= 1.0)

@@ -30,7 +30,6 @@ from netsample.samplers.base import (
     STEP_BUDGET_FACTOR,
     SampleResult,
     SampleState,
-    _refresh_leaderboard,
     neighborhood,
     pick_seed,
 )
@@ -130,36 +129,30 @@ class ReferenceLeaderboard:
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self._entries: dict[int, list] = {}  # node -> [score, insertion_step, epoch]
+        self._entries: dict[int, list] = {}  # node -> [score, insertion_step]
         self._steps = 0
         self.evictions = 0
 
     def __len__(self):
         return len(self._entries)
 
+    def nodes(self):
+        return list(self._entries)
+
     def entries(self):
         return [(node, e[0], e[1]) for node, e in self._entries.items()]
 
-    def offer(self, node, score, epoch=0):
+    def offer(self, node, score):
         ent = self._entries.get(node)
         if ent is not None:
             ent[0] = score
-            ent[2] = epoch
             return
         self._steps += 1
-        self._entries[node] = [score, self._steps, epoch]
+        self._entries[node] = [score, self._steps]
         if len(self._entries) > self.capacity:
             worst = min(self._entries, key=lambda v: (self._entries[v][0], -self._entries[v][1]))
             del self._entries[worst]
             self.evictions += 1
-
-    def set_score(self, node, score, epoch):
-        ent = self._entries[node]
-        ent[0] = score
-        ent[2] = epoch
-
-    def stale_nodes(self, epoch):
-        return [node for node, e in self._entries.items() if e[2] != epoch]
 
     def pop_best(self):
         if not self._entries:
@@ -795,7 +788,8 @@ def reference_sample_rw(g: Graph, cfg):
 def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candidates, on_admit=None):
     """``run_criterion_crawl`` with the per-candidate admit loop: one
     ``rng.random()`` per non-member candidate and ``np.add.at`` for the
-    in-sample in-degrees."""
+    in-sample in-degrees. With ``rescore_on_pop`` it rescores every live
+    entry before each pop."""
     cfg.validate(g.n)
     rng = np.random.default_rng(cfg.rng_seed)
     m = cfg.target_size
@@ -819,7 +813,7 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
             if cfg.exploration_p < 1.0 and rng.random() >= cfg.exploration_p:
                 continue
             counters["scored_candidates"] += 1
-            state.leaderboard.offer(cand, score_fn(cand), epoch=state.k)
+            state.leaderboard.offer(cand, score_fn(cand))
 
     init_size = min(m, max(1, math.ceil(cfg.rw_init_fraction * m)))
     current = pick_seed(cfg, g, rng)
@@ -834,7 +828,8 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
         admit(current, "rw-init")
     while state.k < m:
         if cfg.rescore_on_pop:
-            _refresh_leaderboard(state, score_fn)
+            for node in state.leaderboard.nodes():
+                state.leaderboard.offer(node, score_fn(node))
         node = state.leaderboard.pop_best()
         if node is not None:
             admit(node, "criterion")

@@ -19,7 +19,7 @@ import pytest
 from netsample.errors import PartialSampleError
 from netsample.experiments import ExperimentSpec, run_experiment
 from netsample.graph import Graph
-from netsample.samplers import SAMPLERS, SamplerConfig
+from netsample.samplers import SAMPLERS, SamplerConfig, tcec, tcpr
 from netsample.synth import SbmSpec, generate_sbm
 
 GRAPHS = {
@@ -164,6 +164,15 @@ PARTIAL_SAMPLES = {
         "0c326f5a78c2ac08be5bce14842bd7390ca4ea9e130d37740e23f207971addf9",
     ),
 }
+# score calls of the seeded config's rescore mode; rescoring every live entry
+# before each pop, not only those an admission left stale, makes 329, 223,
+# 305 and 307
+SCORE_CALLS = {
+    "directed/tcec": 270,
+    "directed/tcpr": 175,
+    "undirected/tcec": 239,
+    "undirected/tcpr": 251,
+}
 RAW_CSV_DIGESTS = {
     "centrality_comparison": "da8f42bf2601e62589eef3efcec73a8640545c28f03f15e8471f09833254b0ef",
     "community": "4f5ef3aa7a6d462d2e8ed05f8a2b588f4f7806360587dae92e44e911349725a3",
@@ -174,6 +183,16 @@ RAW_CSV_DIGESTS = {
 @pytest.mark.parametrize("key", sorted(SAMPLE_DIGESTS))
 def test_sample_digest(key):
     assert sample_digest(*key.split("/")) == SAMPLE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(SCORE_CALLS))
+def test_rescore_mode_score_calls(key, monkeypatch):
+    graph, sampler = key.split("/")
+    module = {"tcec": tcec, "tcpr": tcpr}[sampler]
+    score, calls = getattr(module, f"{sampler}_score"), []
+    monkeypatch.setattr(module, f"{sampler}_score", lambda *a: calls.append(a) or score(*a))
+    sample_digest(graph, sampler, "seeded")
+    assert len(calls) == SCORE_CALLS[key]
 
 
 @pytest.mark.parametrize("sampler", sorted(PARTIAL_SAMPLES))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -82,10 +83,14 @@ def test_config_validation():
     ],
 )
 def test_config_validation_checks_types(field, value, message):
-    cfg = SamplerConfig(target_size=5)
-    setattr(cfg, field, value)
     with pytest.raises(ValidationError, match=message):
-        cfg.validate(10)
+        SamplerConfig(**{"target_size": 5, field: value})
+
+
+def test_config_is_frozen():
+    cfg = SamplerConfig(target_size=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.leaderboard_capacity = None
 
 
 def test_config_validation_accepts_numpy_and_integer_reals():
@@ -103,8 +108,8 @@ def test_config_rejects_non_integer_seed_nodes(seeds):
 
 
 def test_config_keeps_integer_seed_nodes():
-    cfg = SamplerConfig(target_size=5, seed_nodes=[np.int64(3), 4])
-    assert cfg.seed_nodes == (3, 4) and all(type(s) is int for s in cfg.seed_nodes)
+    cfg = SamplerConfig(target_size=5, seed_nodes=[np.int64(3)])
+    assert cfg.seed_nodes == (3,) and type(cfg.seed_nodes[0]) is int
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))

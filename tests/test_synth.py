@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netsample.errors import ValidationError
-from netsample.graph import LabeledPartition
+from netsample.graph import _MAX_NODES, LabeledPartition
 from netsample.synth import (
     SbmSpec,
     _bernoulli_positions,
@@ -57,6 +57,16 @@ def test_spec_from_dict_names_the_bad_field(change, message):
     with pytest.raises(ValidationError) as exc:
         SbmSpec.from_dict({**GOOD_SBM, **change})
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("sizes", [[10**30], [_MAX_NODES, 1]])
+def test_spec_bounds_the_node_count(sizes):
+    message = f"block_sizes sum to {sum(sizes)}, over the {_MAX_NODES}-node limit"
+    with pytest.raises(ValidationError, match=message):
+        SbmSpec(block_sizes=sizes, p_in=0.1, p_out=0.1)
+    with pytest.raises(ValidationError, match=message):
+        SbmSpec.from_dict({**GOOD_SBM, "block_sizes": sizes})
+    assert SbmSpec(block_sizes=[_MAX_NODES], p_in=0.1, p_out=0.1).n == _MAX_NODES
 
 
 def test_spec_from_dict_rejects_non_mappings_and_missing_keys():
