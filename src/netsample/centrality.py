@@ -196,11 +196,10 @@ def _block_dependencies(g: Graph, roots: np.ndarray) -> np.ndarray:
     frontier = np.arange(roots.size, dtype=np.int64) * n + roots
     seen[frontier] = True
     sigma[frontier] = 1.0
-    # per level: (parent, child) in reverse discovery order of the child; the
-    # edges live until the backward pass, so they are stored as int32 where
-    # the keys fit
+    # per level: (parent, child) in reverse discovery order of the child. The
+    # keys stay int64: numpy gathers with int32 index arrays run slower, and
+    # the backward pass indexes with these arrays five times per level
     dag = []
-    key_type = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     while True:
         owner, child = _gather(g._out_indptr, g._out_dst, frontier, n)
         fresh = ~seen[child]
@@ -215,7 +214,7 @@ def _block_dependencies(g: Graph, roots: np.ndarray) -> np.ndarray:
         frontier = child[rank == pos]
         seen[frontier] = True
         order = np.argsort(-rank)
-        dag.append((parent[order].astype(key_type), child[order].astype(key_type)))
+        dag.append((parent[order], child[order]))
     dep = np.zeros(size, dtype=np.float64)
     while dag:
         parent, child = dag.pop()

@@ -47,7 +47,7 @@ from .graph import (
 )
 from .metrics import entropy_ratio, kendall_tau, kl_divergence, label_histogram
 from .samplers import SAMPLERS, SamplerConfig
-from .synth import SbmSpec, generate_sbm, plant_attributes
+from .synth import SbmSpec, check_attributes, generate_sbm, plant_attributes
 
 CACHE_ENV_VAR = "NETSAMPLE_CACHE_DIR"
 DEFAULT_FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -114,6 +114,7 @@ class ExperimentSpec:
                 f"allowed: {', '.join(self.SEED_POLICIES)}"
             )
         self.samplers = [_sampler_entry(s) for s in _entries("samplers", self.samplers)]
+        _checked_input(self.input)
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentSpec":
@@ -169,23 +170,36 @@ def _sampler_entry(entry) -> dict:
     return entry
 
 
-def load_input(inp) -> tuple[Graph, LabeledPartition | None]:
-    """Materialize the graph and (optional) node labels of a spec's ``input``
-    mapping: ``{edge_list, directed, labels}`` or ``{sbm, attributes}``."""
+def _checked_input(inp) -> tuple[dict, SbmSpec | None]:
+    """A spec's ``input`` mapping, checked without building its graph:
+    ``{edge_list, directed, labels}`` or ``{sbm, attributes}``. Returns it
+    as a dict, with the defaults of ``attributes`` filled in, and the
+    ``SbmSpec`` of an SBM input."""
     if isinstance(inp, Mapping) and "edge_list" in inp:
-        inp = checked_keys(inp, "an edge_list input", ("edge_list",), ("directed", "labels"))
-        g, mapping = load_edge_list(inp["edge_list"], directed=inp.get("directed", True))
-        return g, load_labels(inp["labels"], mapping) if "labels" in inp else None
+        return checked_keys(inp, "an edge_list input", ("edge_list",), ("directed", "labels")), None
     if isinstance(inp, Mapping) and "sbm" in inp:
         inp = checked_keys(inp, "an sbm input", ("sbm",), ("attributes",))
         sbm = SbmSpec.from_dict(inp["sbm"])
-        g, partition = generate_sbm(sbm)
         if "attributes" in inp:
             attrs = {"noise": 0.0, "rng_seed": sbm.rng_seed + 1}  # the optional keys
             attrs |= checked_keys(inp["attributes"], "attributes", ("labels",), attrs)
-            partition = plant_attributes(partition, **attrs)
-        return g, partition
+            check_attributes(len(sbm.block_sizes), **attrs)
+            inp["attributes"] = attrs
+        return inp, sbm
     raise ValidationError(f"input must be a mapping naming an edge_list or an sbm, got {inp!r}")
+
+
+def load_input(inp) -> tuple[Graph, LabeledPartition | None]:
+    """Materialize the graph and (optional) node labels of a spec's ``input``
+    mapping: ``{edge_list, directed, labels}`` or ``{sbm, attributes}``."""
+    inp, sbm = _checked_input(inp)
+    if sbm is None:
+        g, mapping = load_edge_list(inp["edge_list"], directed=inp.get("directed", True))
+        return g, load_labels(inp["labels"], mapping) if "labels" in inp else None
+    g, partition = generate_sbm(sbm)
+    if "attributes" in inp:
+        partition = plant_attributes(partition, **inp["attributes"])
+    return g, partition
 
 
 def _rep_seeds(spec: ExperimentSpec, cell: tuple, rep: int) -> tuple[int, int]:

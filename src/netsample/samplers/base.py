@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import PartialSampleError, ValidationError, is_integer, is_real, require
+from ..graph import csr_rows
 
 # the walker jumps back into the sample this often; the protocol never
 # specifies sink handling, so the constant is recorded in every result
@@ -230,7 +231,9 @@ class Leaderboard:
 
 @dataclass
 class SampleState:
-    """Evolving crawl state shared by the criterion samplers."""
+    """Evolving crawl state shared by the criterion samplers. The crawl loop
+    keeps the members and the leaderboard; ``in_sample_indegree`` (TCEC),
+    ``delta`` and ``dangling_members`` (TCPR) belong to the samplers."""
 
     members: list[int] = field(default_factory=list)
     member_mask: np.ndarray = None
@@ -240,13 +243,9 @@ class SampleState:
     dangling_members: list[int] = field(default_factory=list)
 
     @classmethod
-    def empty(cls, n: int, capacity: int, with_delta: bool = False) -> "SampleState":
-        return cls(
-            member_mask=np.zeros(n, dtype=bool),
-            in_sample_indegree=np.zeros(n, dtype=np.float64),
-            leaderboard=Leaderboard(capacity),
-            delta=np.zeros(n, dtype=np.float64) if with_delta else None,
-        )
+    def empty(cls, n: int, capacity: int, **own) -> "SampleState":
+        """A state with no members; ``own`` sets the sampler's own fields."""
+        return cls(member_mask=np.zeros(n, dtype=bool), leaderboard=Leaderboard(capacity), **own)
 
     @property
     def k(self) -> int:
@@ -281,7 +280,25 @@ def uniform_step(g, rng, prev, current):
     return int(out_idx[int(rng.integers(out_idx.size))])
 
 
-def walk_until_new(g, rng, current, sampled, member_mask, budget, step=uniform_step, prev=None):
+def can_leave(g, sampled, member_mask, takes=None) -> bool:
+    """Whether some node of ``sampled`` has an out-edge that a walk step can
+    take to a node outside ``member_mask``.
+
+    ``takes(w, last)`` flags the out-edges the step can take from their
+    weights ``w`` and whether each is the ``last`` of its list; None means
+    every out-edge.
+    """
+    rows = np.asarray(sampled, dtype=np.int64)
+    owner, pos = csr_rows(g._out_indptr, rows)
+    leave = ~member_mask[g._out_dst[pos]]
+    if takes is not None:
+        leave &= takes(g._out_w[pos], pos == g._out_indptr[rows + 1][owner] - 1)
+    return bool(leave.any())
+
+
+def walk_until_new(
+    g, rng, current, sampled, member_mask, budget, step=uniform_step, prev=None, takes=None
+):
     """Advance a walk until it reaches an unsampled node.
 
     Each step from a node with out-edges first draws a restart with
@@ -291,10 +308,20 @@ def walk_until_new(g, rng, current, sampled, member_mask, budget, step=uniform_s
     forgets ``prev``. Returns ``(node, steps_used, prev)``, with ``prev`` the
     node the walk left to reach ``node``, or ``(None, steps_used, prev)``
     when the budget runs out.
+
+    ``current`` is sampled and the walk stands only on sampled nodes until
+    it returns. So once a call has taken ``len(sampled)`` steps without a
+    new node, it asks ``can_leave`` once, with the edges ``takes`` says
+    ``step`` can take. If no sampled node has such an edge out of the
+    sample, it returns ``(None, budget, prev)`` at once: the node and step
+    count of a walk that spends its budget.
     """
     out_indptr = g._out_indptr
     steps = 0
+    check_at = len(sampled)
     while steps < budget:
+        if steps == check_at and not can_leave(g, sampled, member_mask, takes):
+            return None, budget, prev
         steps += 1
         nxt = None
         if out_indptr[current + 1] > out_indptr[current] and rng.random() >= RESTART_PROB:
@@ -321,20 +348,19 @@ def run_criterion_crawl(
     state: SampleState,
     sampler_name: str,
     score_fn,
-    offer_candidates,
-    on_admit=None,
+    on_admit,
     step_callback=None,
 ) -> SampleResult:
     """Shared control flow for the criterion samplers.
 
     RW-init collects ``ceil(rw_init_fraction * m)`` nodes, then the main loop
     pops the leaderboard top (falling back to one random-walk step when it is
-    empty) until ``m`` nodes are sampled. ``offer_candidates(node)`` returns
-    the distinct candidates (an integer array) to score when ``node`` enters
-    the sample; ``on_admit`` runs state bookkeeping before candidates are
-    offered. With ``rescore_on_pop``, every entry not offered in the latest
-    admission is offered again with a fresh score before each pop, so the
-    pop is the exact argmax over the leaderboard.
+    empty) until ``m`` nodes are sampled. When ``node`` enters the sample,
+    ``on_admit(node)`` does the sampler's own bookkeeping and returns the
+    distinct unsampled candidates (an integer array) to score. With
+    ``rescore_on_pop``, every entry not offered in the latest admission is
+    offered again with a fresh score before each pop, so the pop is the
+    exact argmax over the leaderboard.
     """
     cfg.validate(g.n)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -350,15 +376,9 @@ def run_criterion_crawl(
         state.member_mask[node] = True
         tags.append(tag)
         state.leaderboard.discard(node)
-        out_idx, out_w = g.out_neighbors(node)
-        # an out-list is distinct, so no index repeats in this update
-        state.in_sample_indegree[out_idx] += out_w
-        if on_admit is not None:
-            on_admit(node)
-        cands = offer_candidates(node)
-        cands = cands[~state.member_mask[cands]]
+        cands = on_admit(node)
         if cfg.exploration_p < 1.0:
-            # one draw per surviving candidate, in candidate order
+            # one draw per candidate, in candidate order
             cands = cands[rng.random(cands.size) < cfg.exploration_p]
         counters["scored_candidates"] += cands.size
         offer, offered = state.leaderboard.offer, cands.tolist()

@@ -33,11 +33,12 @@ def sample_random_node(g, cfg: SamplerConfig) -> SampleResult:
     )
 
 
-def _walk_sample(g, cfg: SamplerConfig, name: str, what: str, step) -> SampleResult:
+def _walk_sample(g, cfg: SamplerConfig, name: str, what: str, step, takes=None) -> SampleResult:
     """Collect the first ``target_size`` distinct nodes a walk visits.
 
-    The walk takes ``step`` (see ``walk_until_new``) and goes on from each
-    new node with the node before it as ``prev``.
+    The walk takes ``step``, which can take the out-edges that ``takes``
+    flags (see ``walk_until_new``), and goes on from each new node with the
+    node before it as ``prev``.
     """
     cfg.validate(g.n)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -51,7 +52,7 @@ def _walk_sample(g, cfg: SamplerConfig, name: str, what: str, step) -> SampleRes
     prev = None
     while len(nodes) < m:
         current, used, prev = walk_until_new(
-            g, rng, current, nodes, visited, budget - steps, step, prev
+            g, rng, current, nodes, visited, budget - steps, step, prev, takes
         )
         steps += used
         if current is None:
@@ -205,4 +206,9 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
         pos = min(int(weights.cumsum().searchsorted(u, "right")), idx.size - 1)
         return int(idx[pos])
 
-    return _walk_sample(g, cfg, "node2vec", "node2vec walk", step)
+    def takes(w, last):
+        # a draw lands on positive weight, but the clamp above, against a
+        # cumsum that rounds below the total, can pick the last edge
+        return (w > 0) | last
+
+    return _walk_sample(g, cfg, "node2vec", "node2vec walk", step, takes)

@@ -86,14 +86,16 @@ def sample_tcec(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
     (undirected reachability of the crawl frontier).
     """
     alpha = cfg.resolved_alpha(g.directed)
-    state = SampleState.empty(g.n, cfg.leaderboard_capacity)
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity, in_sample_indegree=np.zeros(g.n))
 
     def score_fn(j):
         return tcec_score(g, state, j, alpha)
 
-    def offer_candidates(node):
-        return neighborhood(g, node)
+    def on_admit(node):
+        out_idx, out_w = g.out_neighbors(node)
+        # an out-list is distinct, so no index repeats in this update
+        state.in_sample_indegree[out_idx] += out_w
+        cands = neighborhood(g, node)
+        return cands[~state.member_mask[cands]]
 
-    return run_criterion_crawl(
-        g, cfg, state, "tcec", score_fn, offer_candidates, step_callback=step_callback
-    )
+    return run_criterion_crawl(g, cfg, state, "tcec", score_fn, on_admit, step_callback)

@@ -40,20 +40,24 @@ def init_delta(g, state: SampleState, s: int) -> None:
     state.delta[s] = float(np.add.reduce(out_w[keep])) / dout
 
 
-def update_deltas_on_admit(g, state: SampleState, s: int) -> None:
+def update_deltas_on_admit(g, state: SampleState, s: int):
     """Remove the admitted node's term from every non-dangling member's delta.
 
     No dangling member's delta is stored, so there is none to update. The
-    terms ``P(x -> s)`` come from ``g.in_transitions``.
+    terms ``P(x -> s)`` come from ``g.in_transitions``. Returns what it read
+    of the in-list of ``s``: the sources, their ``d_out > 0`` flags and
+    their member flags.
     """
     in_idx, p_in, live = g.in_transitions(s)
+    member = state.member_mask[in_idx]
     # a dangling member can reach s by a zero-weight edge; it has no delta
-    mem = state.member_mask[in_idx] & live
+    mem = member & live
     if g.has_self_loop:
         mem &= in_idx != s
     xs = in_idx[mem]
     if xs.size:
         state.delta[xs] -= p_in[mem]
+    return in_idx, live, member
 
 
 def member_deltas(g, state: SampleState, nodes) -> np.ndarray:
@@ -118,7 +122,7 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
     artificial complete-graph edges are never crawled), dangling candidates
     are skipped, and delta bookkeeping runs on every admission.
     """
-    state = SampleState.empty(g.n, cfg.leaderboard_capacity, with_delta=True)
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity, delta=np.zeros(g.n))
     gamma = cfg.damping
     counters_extra = {"dangling_skipped": 0}
 
@@ -127,18 +131,12 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
 
     def on_admit(node):
         init_delta(g, state, node)
-        update_deltas_on_admit(g, state, node)
+        # the in-list is sorted and distinct; node itself is no candidate
+        in_idx, live, member = update_deltas_on_admit(g, state, node)
+        dead = ~live & (in_idx != node) if g.has_self_loop else ~live
+        counters_extra["dangling_skipped"] += int(np.count_nonzero(dead))
+        return in_idx[live & ~member]
 
-    def offer_candidates(node):
-        cands, _, live = g.in_transitions(node)  # sorted and distinct
-        if g.has_self_loop:
-            other = cands != node
-            cands, live = cands[other], live[other]
-        counters_extra["dangling_skipped"] += live.size - int(np.count_nonzero(live))
-        return cands[live]
-
-    result = run_criterion_crawl(
-        g, cfg, state, "tcpr", score_fn, offer_candidates, on_admit, step_callback
-    )
+    result = run_criterion_crawl(g, cfg, state, "tcpr", score_fn, on_admit, step_callback)
     result.counters.update(counters_extra)
     return result

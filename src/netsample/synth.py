@@ -146,6 +146,20 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, LabeledPartition]:
     return g, LabeledPartition(blocks, tuple(range(nblocks)))
 
 
+def check_attributes(blocks: int, noise, labels, rng_seed=0) -> None:
+    """Check the arguments of ``plant_attributes`` for a partition of
+    ``blocks`` categories."""
+    require("noise", noise, "a real number in [0, 1]", is_real(noise) and 0.0 <= noise <= 1.0)
+    ok = isinstance(labels, (list, tuple)) and all(map(is_label, labels))
+    ok = ok and len(set(labels)) == len(labels)
+    require("labels", labels, "a list of distinct strings or integers", ok)
+    require("rng_seed", rng_seed, "an integer >= 0", is_integer(rng_seed) and rng_seed >= 0)
+    if len(labels) < blocks:
+        raise ValidationError(f"need at least {blocks} labels, got {len(labels)}")
+    if len(labels) < 2 and noise > 0:
+        raise ValidationError("noise requires at least two labels")
+
+
 def plant_attributes(
     partition: LabeledPartition,
     noise: float,
@@ -157,16 +171,7 @@ def plant_attributes(
     Each node keeps its block-aligned label with probability ``1 - noise``
     and otherwise gets a uniformly random *other* label from ``labels``.
     """
-    require("noise", noise, "a real number in [0, 1]", is_real(noise) and 0.0 <= noise <= 1.0)
-    ok = isinstance(labels, (list, tuple)) and all(map(is_label, labels))
-    ok = ok and len(set(labels)) == len(labels)
-    require("labels", labels, "a list of distinct strings or integers", ok)
-    require("rng_seed", rng_seed, "an integer >= 0", is_integer(rng_seed) and rng_seed >= 0)
-    blocks = partition.categories
-    if len(labels) < len(blocks):
-        raise ValidationError(f"need at least {len(blocks)} labels, got {len(labels)}")
-    if len(labels) < 2 and noise > 0:
-        raise ValidationError("noise requires at least two labels")
+    check_attributes(len(partition.categories), noise, labels, rng_seed)
     rng = np.random.default_rng(rng_seed)
     # block code k aligns with labels[k]; unlabelled nodes draw nothing
     nodes = np.flatnonzero(partition.codes >= 0)

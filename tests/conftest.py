@@ -851,7 +851,7 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
 
 def reference_sample_tcec(g: Graph, cfg):
     alpha = cfg.resolved_alpha(g.directed)
-    state = SampleState.empty(g.n, cfg.leaderboard_capacity)
+    state = SampleState.empty(g.n, cfg.leaderboard_capacity, in_sample_indegree=np.zeros(g.n))
     return reference_criterion_crawl(
         g,
         cfg,
@@ -863,7 +863,9 @@ def reference_sample_tcec(g: Graph, cfg):
 
 
 def reference_sample_tcpr(g: Graph, cfg):
-    state = SampleState.empty(g.n, cfg.leaderboard_capacity, with_delta=True)
+    state = SampleState.empty(
+        g.n, cfg.leaderboard_capacity, in_sample_indegree=np.zeros(g.n), delta=np.zeros(g.n)
+    )
     dangling = g.out_strength <= 0
     extra = {"dangling_skipped": 0}
 

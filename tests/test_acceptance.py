@@ -138,7 +138,7 @@ def test_03_tcpr_constant_drop_soundness():
         g = Graph(n, src[keep], dst[keep], w[keep], directed=True)
         a = dense_adjacency(g)
         members = [int(v) for v in rng.choice(n, size=8, replace=False)]
-        state = SampleState.empty(n, capacity=10, with_delta=True)
+        state = SampleState.empty(n, capacity=10, delta=np.zeros(n))
         state.members = list(members)
         state.member_mask[members] = True
         for s in members:

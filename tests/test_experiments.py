@@ -169,6 +169,32 @@ def test_spec_rejects_badly_typed_fields(over, message):
         small_spec(**over)
 
 
+def _sbm_input(attributes=None, **sbm):
+    inp = {"sbm": {**SBM_INPUT["sbm"], **sbm}}
+    return inp if attributes is None else {**inp, "attributes": attributes}
+
+
+@pytest.mark.parametrize(
+    "inp, message",
+    [
+        (_sbm_input(p_in=2), "p_in must be a real number in [0, 1], got 2"),
+        (_sbm_input(block_sizes="x"), "block_sizes must be a non-empty list of integers >= 1"),
+        (_sbm_input(bogus=1), "an SBM spec: unknown key(s) ['bogus']"),
+        (_sbm_input({"labels": ["a", "b", "c"], "noise": "x"}), "noise must be a real number"),
+        (_sbm_input({"labels": ["a", "b"]}), "need at least 3 labels, got 2"),
+        (_sbm_input({"labels": ["a", "b", "c"], "nois": 0.1}), "attributes: unknown key(s)"),
+        ({**SBM_INPUT, "labels": "l.txt"}, "an sbm input: unknown key(s) ['labels']"),
+        ({"edge_list": "g.txt", "direct": True}, "an edge_list input: unknown key(s)"),
+        ("sbm.yaml", "input must be a mapping naming an edge_list or an sbm"),
+    ],
+)
+def test_spec_checks_its_input_when_built(inp, message):
+    # the spec and the loader raise the same error, and the spec needs no graph
+    for build in (lambda: small_spec(input=inp), lambda: load_input(inp)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build()
+
+
 def test_spec_yaml_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.yaml"

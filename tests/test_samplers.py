@@ -25,7 +25,9 @@ from netsample.samplers import (
     tcec_score,
     tcpr_score,
 )
-from netsample.samplers.base import Leaderboard, SampleState, neighborhood
+from netsample.samplers import tcpr as tcpr_module
+from netsample.samplers.base import Leaderboard, SampleState, neighborhood, walk_until_new
+from netsample.samplers import baselines
 from netsample.samplers.baselines import node2vec_step_weights
 from netsample.samplers.tcpr import init_delta, member_deltas, update_deltas_on_admit
 
@@ -44,6 +46,7 @@ from conftest import (
     reference_sample_tcpr,
     reference_tcec_score,
     reference_tcpr_score,
+    reference_walk_until_new,
     small_graphs,
 )
 
@@ -300,7 +303,7 @@ def test_tcec_score_hand_example():
     # sample {1, 2}; candidate 3 has out-edges to both members and one
     # outside in-edge from 4; alpha = 0.5
     g = Graph.from_edges(5, [(3, 1), (3, 2), (4, 3), (4, 1)], directed=True)
-    state = SampleState.empty(5, capacity=10)
+    state = SampleState.empty(5, capacity=10, in_sample_indegree=np.zeros(5))
     state.members = [1, 2]
     state.member_mask[[1, 2]] = True
     # ||b1||^2 = 2, ||b1^T U||^2 = 1 (node 4 feeds member 1), ||b3||^2 = 1
@@ -314,7 +317,7 @@ def test_tcec_score_hand_example():
 def test_tcec_score_matches_dense_oracle(rng):
     g = random_digraph(40, 0.12, rng, weighted=True)
     a = dense_adjacency(g)
-    state = SampleState.empty(40, capacity=10)
+    state = SampleState.empty(40, capacity=10, in_sample_indegree=np.zeros(40))
     members = [2, 5, 9, 14, 30]
     state.members = list(members)
     state.member_mask[members] = True
@@ -347,7 +350,7 @@ def test_tcec_run_shape_and_tags(rng):
 
 
 def _manual_state(g, members):
-    state = SampleState.empty(g.n, capacity=10, with_delta=True)
+    state = SampleState.empty(g.n, capacity=10, delta=np.zeros(g.n))
     state.members = list(members)
     state.member_mask[list(members)] = True
     for s in members:
@@ -387,7 +390,7 @@ def test_tcpr_delta_updates_match_recomputation(rng):
     src, dst, w = g.edge_arrays()
     keep = ~np.isin(src, [17, 9])
     g = Graph(30, src[keep], dst[keep], w[keep], directed=True)
-    state = SampleState.empty(30, capacity=10, with_delta=True)
+    state = SampleState.empty(30, capacity=10, delta=np.zeros(30))
     for s in [4, 17, 2, 9, 25]:
         state.members.append(s)
         state.member_mask[s] = True
@@ -436,7 +439,9 @@ def _bits(x) -> bytes:
 
 def _state_holding(g, members, with_delta):
     """Crawl state after admitting ``members`` in order, as the crawl does."""
-    state = SampleState.empty(g.n, capacity=10, with_delta=with_delta)
+    state = SampleState.empty(
+        g.n, capacity=10, in_sample_indegree=np.zeros(g.n), delta=np.zeros(g.n)
+    )
     for s in members:
         state.members.append(s)
         state.member_mask[s] = True
@@ -561,6 +566,111 @@ def test_crawls_equal_per_candidate_references(g, data):
     except ZeroDivisionError:
         assume(False)  # the reference tcpr score fails; see the test below
     assert _sample_outcome(SAMPLERS[name], g, cfg) == want
+
+
+@st.composite
+def closed_set_graphs(draw, max_n=8):
+    """Directed or undirected graphs whose nodes ``0..c-1`` have no positive
+    edge out of that set; some have zero-weight ones and some are sinks.
+    Returns the graph and ``c``."""
+    n = draw(st.integers(2, max_n))
+    c = draw(st.integers(1, n - 1))
+    inner, outer = st.integers(0, c - 1), st.integers(0, n - 1)
+    weight = st.sampled_from([0.1, 1.0, 2.5])
+    edges = draw(st.lists(st.tuples(inner, inner, weight), max_size=2 * c))
+    edges += draw(st.lists(st.tuples(inner, st.integers(c, n - 1), st.just(0.0)), max_size=c))
+    edges += draw(st.lists(st.tuples(st.integers(c, n - 1), outer, weight), max_size=2 * n))
+    return Graph.from_edges(n, edges, directed=draw(st.booleans())), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(gc=closed_set_graphs(), data=st.data())
+def test_walks_out_of_closed_sets_equal_references(gc, data):
+    g, c = gc
+    sampled = data.draw(st.lists(st.integers(0, c - 1), min_size=1, unique=True))
+    mask = np.zeros(g.n, dtype=bool)
+    mask[sampled] = True
+    seed, budget = data.draw(st.integers(0, 1000)), data.draw(st.integers(1, 3000))
+    got = walk_until_new(g, np.random.default_rng(seed), sampled[0], sampled, mask, budget)
+    want = reference_walk_until_new(
+        g, np.random.default_rng(seed), sampled[0], sampled, mask, budget
+    )
+    assert got[:2] == want
+
+    name = data.draw(st.sampled_from(["tcec", "tcpr", "node2vec", "rw"]))
+    cfg = SamplerConfig(
+        target_size=data.draw(st.integers(1, g.n)),
+        rng_seed=seed,
+        seed_nodes=(data.draw(st.integers(0, c - 1)),),
+        leaderboard_capacity=data.draw(st.integers(1, 4)),
+        exploration_p=data.draw(st.sampled_from([0.0, 0.1, 1.0])),
+    )
+    reference = {
+        "tcec": reference_sample_tcec,
+        "tcpr": reference_sample_tcpr,
+        "node2vec": reference_sample_node2vec,
+        "rw": reference_sample_rw,
+    }[name]
+    try:
+        want = _sample_outcome(reference, g, cfg)
+    except ZeroDivisionError:
+        assume(False)  # see test_tcpr_zero_weight_edge_from_dangling_member
+    assert _sample_outcome(SAMPLERS[name], g, cfg) == want
+
+
+class _CountedDraws:
+    """A generator that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+    def integers(self, high):
+        self.draws += 1
+        return self.rng.integers(high)
+
+
+def test_walk_with_no_way_out_returns_at_once(monkeypatch):
+    # seeded at the sink 0, a walk can only restart at 0
+    g = Graph.from_edges(3, [(1, 0), (1, 2), (2, 1)], directed=True)
+    rng = _CountedDraws(0)
+    assert walk_until_new(g, rng, 0, [0], np.array([True, False, False]), 10**6) == (
+        None, 10**6, None
+    )
+    assert rng.draws == 1
+    # from {1, 2} the only edge out weighs zero: a uniform step takes it, a
+    # node2vec step cannot
+    g = Graph.from_edges(3, [(1, 0, 0.0), (1, 2, 1.0), (2, 1, 1.0)], directed=True)
+    cfg = SamplerConfig(target_size=3, seed_nodes=(1,))
+    assert sorted(sample_random_walk(g, cfg).nodes) == [0, 1, 2]
+    calls = []
+    step_weights = baselines.node2vec_step_weights
+    monkeypatch.setattr(
+        baselines, "node2vec_step_weights", lambda *a: calls.append(a) or step_weights(*a)
+    )
+    with pytest.raises(PartialSampleError) as exc:
+        sample_node2vec_walk(g, cfg)
+    assert exc.value.nodes == [1, 2] and exc.value.counters == {"steps": 3000}
+    assert len(calls) < 10
+
+
+def test_tcpr_reads_each_in_list_once_per_admission(rng, monkeypatch):
+    g = random_digraph(80, 0.08, rng)
+    reads, scores, states = [], [], []
+    in_transitions = Graph.in_transitions
+    monkeypatch.setattr(
+        Graph, "in_transitions", lambda self, i: reads.append(i) or in_transitions(self, i)
+    )
+    score = tcpr_module.tcpr_score
+    monkeypatch.setattr(tcpr_module, "tcpr_score", lambda *a: scores.append(a) or score(*a))
+    cfg = SamplerConfig(target_size=30, rng_seed=2, exploration_p=1.0)
+    r = sample_tcpr(g, cfg, step_callback=lambda state, node, tag: states.append(state))
+    assert len(scores) > 0
+    assert len(reads) == len(r.nodes) + len(scores)
+    assert states[0].in_sample_indegree is None
 
 
 def _realistic_digraph(seed):
