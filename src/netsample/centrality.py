@@ -9,6 +9,7 @@ two spectral measures agree on orientation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ValidationError, is_integer, is_real, require
-from .graph import Graph, csr_rows
+from .graph import _MAX_NODES, Graph, csr_rows
 
 # betweenness runs BLOCK_SLOTS // (n + num_edges) sources at a time (at
 # least one), which keeps its per-block key and edge arrays to a few MB;
@@ -121,8 +122,9 @@ def in_degree_centrality(g: Graph) -> CentralityVector:
 
 def pivot_sources(n: int, count: int, seed: int) -> list[int]:
     """``min(count, n)`` distinct pivot nodes drawn uniformly, in ascending order."""
-    if count < 1:
-        raise ValidationError(f"pivot count must be >= 1, got {count}")
+    ok = is_integer(n) and 0 <= n <= _MAX_NODES
+    require("node count", n, f"an integer in 0..{_MAX_NODES}", ok)
+    require("pivot count", count, "an integer >= 1", is_integer(count) and count >= 1)
     require("pivot seed", seed, "an integer >= 0", is_integer(seed) and seed >= 0)
     rng = np.random.default_rng(seed)
     return sorted(int(v) for v in rng.choice(n, size=min(count, n), replace=False))
@@ -145,6 +147,8 @@ def betweenness(g: Graph, sources=None) -> CentralityVector:
     if sources is None:
         sources = np.arange(n, dtype=np.int64)
     else:
+        ok = isinstance(sources, Iterable)
+        require("betweenness sources", sources, "a collection of node ids", ok)
         sources = np.asarray(list(sources))
         if sources.size and sources.dtype.kind not in "iu":
             raise ValidationError(f"betweenness sources must be node ids, got {sources.dtype} values")

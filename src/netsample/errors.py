@@ -33,11 +33,11 @@ class PartialSampleError(NetsampleError):
     sample is still usable.
     """
 
-    def __init__(self, message, nodes, tags=None, counters=None):
+    def __init__(self, message, nodes, tags, counters):
         super().__init__(message)
         self.nodes = list(nodes)
-        self.tags = list(tags) if tags is not None else ["?"] * len(self.nodes)
-        self.counters = dict(counters or {})
+        self.tags = list(tags)
+        self.counters = dict(counters)
 
 
 class DanglingCandidateError(NetsampleError):

@@ -176,7 +176,13 @@ def _checked_input(inp) -> tuple[dict, SbmSpec | None]:
     as a dict, with the defaults of ``attributes`` filled in, and the
     ``SbmSpec`` of an SBM input."""
     if isinstance(inp, Mapping) and "edge_list" in inp:
-        return checked_keys(inp, "an edge_list input", ("edge_list",), ("directed", "labels")), None
+        inp = checked_keys(inp, "an edge_list input", ("edge_list",), ("directed", "labels"))
+        for key in ("edge_list", "labels"):
+            if key in inp:
+                require(key, inp[key], "a file path", isinstance(inp[key], (str, os.PathLike)))
+        directed = inp.get("directed", True)
+        require("directed", directed, "true or false", isinstance(directed, (bool, np.bool_)))
+        return inp, None
     if isinstance(inp, Mapping) and "sbm" in inp:
         inp = checked_keys(inp, "an sbm input", ("sbm",), ("attributes",))
         sbm = SbmSpec.from_dict(inp["sbm"])

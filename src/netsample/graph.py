@@ -617,6 +617,7 @@ def csr_rows(indptr, rows):
 
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
     """Subgraph on ``nodes`` with exactly the edges of ``g`` inside the set."""
+    require("nodes", nodes, "a collection of node ids", isinstance(nodes, Iterable))
     node_arr = np.asarray(list(nodes))
     if node_arr.size == 0:
         raise ValidationError("empty node set")

@@ -11,10 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEntropyWarning, UndefinedCorrelationError, ValidationError
+from .errors import (
+    DegenerateEntropyWarning,
+    UndefinedCorrelationError,
+    ValidationError,
+    is_real,
+    require,
+)
 from .graph import UNKNOWN_LABEL, LabeledPartition
 
 KL_EPSILON = 1e-12
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, or a ``ValidationError`` naming them."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be real numbers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -25,13 +39,13 @@ class CategoricalDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = _reals("probabilities", self.probs)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != probs.size:
             raise ValidationError("labels and probabilities differ in length")
-        if np.any(probs < 0):
-            raise ValidationError("negative probability")
+        if not np.all(probs >= 0):
+            raise ValidationError("negative or NaN probability")
         if probs.size and abs(probs.sum() - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {probs.sum()}, not 1")
 
@@ -88,8 +102,8 @@ def kendall_tau(x, y) -> float:
     The pair counts are exact integers, so the result does not depend on
     summation order.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = _reals("kendall_tau inputs", x)
+    y = _reals("kendall_tau inputs", y)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValidationError("inputs must be equal-length vectors of size >= 2")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -118,6 +132,7 @@ def kl_divergence(
     the divergence finite; the value is still >= 0 and 0 iff p == q
     (pre-smoothing differences aside).
     """
+    require("eps", eps, "a finite real number >= 0", is_real(eps) and 0 <= eps < math.inf)
     if set(p.labels) != set(q.labels):
         raise ValidationError("distributions are over different label sets")
     q_aligned = np.array([q.prob_of(lab) for lab in p.labels])

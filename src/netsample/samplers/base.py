@@ -231,11 +231,18 @@ class Leaderboard:
 
 @dataclass
 class SampleState:
-    """Evolving crawl state shared by the criterion samplers. The crawl loop
-    keeps the members and the leaderboard; ``in_sample_indegree`` (TCEC),
-    ``delta`` and ``dangling_members`` (TCPR) belong to the samplers."""
+    """The record of a sample as it grows, for every sampler.
+
+    ``add`` admits a node with its tag; ``partial`` and ``result`` turn the
+    record into the ``PartialSampleError`` or the ``SampleResult`` a sampler
+    ends with. A criterion crawl also keeps its ``leaderboard`` here;
+    ``in_sample_indegree`` (TCEC), ``delta`` and ``dangling_members`` (TCPR)
+    belong to those samplers.
+    """
 
     members: list[int] = field(default_factory=list)
+    tags: list[str] = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
     member_mask: np.ndarray = None
     in_sample_indegree: np.ndarray = None
     leaderboard: Leaderboard = None
@@ -243,13 +250,33 @@ class SampleState:
     dangling_members: list[int] = field(default_factory=list)
 
     @classmethod
-    def empty(cls, n: int, capacity: int, **own) -> "SampleState":
-        """A state with no members; ``own`` sets the sampler's own fields."""
-        return cls(member_mask=np.zeros(n, dtype=bool), leaderboard=Leaderboard(capacity), **own)
+    def empty(cls, n: int, capacity: int | None = None, **own) -> "SampleState":
+        """A state with no members, a leaderboard of ``capacity`` if one is
+        given; ``own`` sets the sampler's own fields."""
+        board = None if capacity is None else Leaderboard(capacity)
+        return cls(member_mask=np.zeros(n, dtype=bool), leaderboard=board, **own)
 
     @property
     def k(self) -> int:
         return len(self.members)
+
+    def add(self, node: int, tag: str) -> None:
+        self.members.append(node)
+        self.tags.append(tag)
+        self.member_mask[node] = True
+
+    def partial(self, message: str) -> PartialSampleError:
+        return PartialSampleError(message, self.members, self.tags, self.counters)
+
+    def result(self, cfg: SamplerConfig, name: str) -> SampleResult:
+        config = cfg.echo(sampler=name)
+        return SampleResult(list(self.members), self.tags, self.counters, config)
+
+
+def start(g, cfg: SamplerConfig):
+    """Check ``cfg`` against ``g``; return the sampler's random generator."""
+    cfg.validate(g.n)
+    return np.random.default_rng(cfg.rng_seed)
 
 
 def neighborhood(g, node: int) -> np.ndarray:
@@ -362,19 +389,16 @@ def run_criterion_crawl(
     offered again with a fresh score before each pop, so the pop is the
     exact argmax over the leaderboard.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = start(g, cfg)
     m = cfg.target_size
-    tags: list[str] = []
-    counters = {"scored_candidates": 0, "fallback_events": 0, "rw_steps": 0}
+    counters = state.counters
+    counters.update(scored_candidates=0, fallback_events=0, rw_steps=0)
     budget = STEP_BUDGET_FACTOR * m
     offered: list[int] = []  # the candidates of the latest admission, scored after it
 
     def admit(node: int, tag: str) -> None:
         nonlocal offered
-        state.members.append(node)
-        state.member_mask[node] = True
-        tags.append(tag)
+        state.add(node, tag)
         state.leaderboard.discard(node)
         cands = on_admit(node)
         if cfg.exploration_p < 1.0:
@@ -387,14 +411,12 @@ def run_criterion_crawl(
         if step_callback is not None:
             step_callback(state, node, tag)
 
-    def walk_from(start: int, exhausted: str) -> int:
+    def walk_from(origin: int, exhausted: str) -> int:
         """Walk to an unsampled node; raise once the step budget is spent."""
-        node, used, _ = walk_until_new(g, rng, start, state.members, state.member_mask, budget)
+        node, used, _ = walk_until_new(g, rng, origin, state.members, state.member_mask, budget)
         counters["rw_steps"] += used
         if node is None:
-            raise PartialSampleError(
-                f"{exhausted} at {state.k}/{m} nodes", state.members, tags, counters
-            )
+            raise state.partial(f"{exhausted} at {state.k}/{m} nodes")
         return node
 
     # phase 1: random-walk initialization
@@ -417,13 +439,8 @@ def run_criterion_crawl(
             admit(node, "criterion")
             continue
         counters["fallback_events"] += 1
-        start = state.members[int(rng.integers(state.k))]
-        admit(walk_from(start, "graph exhausted"), "fallback")
+        origin = state.members[int(rng.integers(state.k))]
+        admit(walk_from(origin, "graph exhausted"), "fallback")
 
     counters["leaderboard_evictions"] = state.leaderboard.evictions
-    return SampleResult(
-        nodes=list(state.members),
-        tags=tags,
-        counters=counters,
-        config=cfg.echo(sampler=sampler_name),
-    )
+    return state.result(cfg, sampler_name)

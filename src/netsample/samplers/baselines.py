@@ -6,14 +6,15 @@ import heapq
 
 import numpy as np
 
-from ..errors import PartialSampleError
 from ..graph import csr_rows, sorted_lookup
 from .base import (
     STEP_BUDGET_FACTOR,
     SampleResult,
     SamplerConfig,
+    SampleState,
     neighborhood,
     pick_seed,
+    start,
     uniform_step,
     walk_until_new,
 )
@@ -21,16 +22,9 @@ from .base import (
 
 def sample_random_node(g, cfg: SamplerConfig) -> SampleResult:
     """Uniform sampling on nodes, without replacement."""
-    n = g.n
-    cfg.validate(n)
-    rng = np.random.default_rng(cfg.rng_seed)
-    nodes = [int(v) for v in rng.permutation(n)[: cfg.target_size]]
-    return SampleResult(
-        nodes=nodes,
-        tags=["rn"] * len(nodes),
-        counters={"steps": len(nodes)},
-        config=cfg.echo(sampler="rn"),
-    )
+    rng = start(g, cfg)
+    nodes = [int(v) for v in rng.permutation(g.n)[: cfg.target_size]]
+    return SampleState(nodes, ["rn"] * len(nodes), {"steps": len(nodes)}).result(cfg, "rn")
 
 
 def _walk_sample(g, cfg: SamplerConfig, name: str, what: str, step, takes=None) -> SampleResult:
@@ -40,33 +34,24 @@ def _walk_sample(g, cfg: SamplerConfig, name: str, what: str, step, takes=None) 
     flags (see ``walk_until_new``), and goes on from each new node with the
     node before it as ``prev``.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = start(g, cfg)
     current = pick_seed(cfg, g, rng)
     m = cfg.target_size
-    nodes = [current]
-    visited = np.zeros(g.n, dtype=bool)
-    visited[current] = True
+    state = SampleState.empty(g.n, counters={"steps": 0})
+    state.add(current, name)
     budget = STEP_BUDGET_FACTOR * m
     steps = 0
     prev = None
-    while len(nodes) < m:
+    while state.k < m:
         current, used, prev = walk_until_new(
-            g, rng, current, nodes, visited, budget - steps, step, prev, takes
+            g, rng, current, state.members, state.member_mask, budget - steps, step, prev, takes
         )
         steps += used
+        state.counters["steps"] = steps
         if current is None:
-            raise PartialSampleError(
-                f"{what} found {len(nodes)}/{m} nodes within {budget} steps",
-                nodes,
-                [name] * len(nodes),
-                {"steps": steps},
-            )
-        visited[current] = True
-        nodes.append(current)
-    return SampleResult(
-        nodes=nodes, tags=[name] * m, counters={"steps": steps}, config=cfg.echo(sampler=name)
-    )
+            raise state.partial(f"{what} found {state.k}/{m} nodes within {budget} steps")
+        state.add(current, name)
+    return state.result(cfg, name)
 
 
 def sample_random_walk(g, cfg: SamplerConfig) -> SampleResult:
@@ -115,15 +100,14 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     of gain evaluations (one per border entry pushed or re-evaluated).
     """
     n = g.n
-    cfg.validate(n)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = start(g, cfg)
     seed = pick_seed(cfg, g, rng)
     m = cfg.target_size
     closure = np.zeros(n, dtype=bool)  # S union N(S); the border is closure minus S
     gains = np.zeros(n, dtype=np.int64)  # |N(v) minus closure|, exact on the closure
     heap: list[tuple[int, int, int]] = []  # (-gain, node, size at evaluation)
-    nodes: list[int] = []
-    counters = {"border_peak": 0, "gain_evals": 0}
+    state = SampleState.empty(n, counters={"border_peak": 0, "gain_evals": 0})
+    counters = state.counters
 
     def close(new):
         """Add ``new``, distinct nodes outside the closure, to it. A
@@ -135,37 +119,27 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
         gains[new] = np.bincount(owner[~closure[nbr]], minlength=new.size)
 
     def admit(v):
-        nodes.append(v)
+        state.add(v, "xs")
         nb = neighborhood(g, v)
         fresh = nb[~closure[nb]]
         close(fresh)
         counters["gain_evals"] += fresh.size
         for u, gain in zip(fresh.tolist(), gains[fresh].tolist()):
-            heapq.heappush(heap, (-gain, u, len(nodes)))
+            heapq.heappush(heap, (-gain, u, state.k))
         counters["border_peak"] = max(counters["border_peak"], len(heap))
 
     close(np.array([seed]))
     admit(seed)
-    while len(nodes) < m:
+    while state.k < m:
         if not heap:
-            raise PartialSampleError(
-                f"expansion border exhausted at {len(nodes)}/{m} nodes",
-                nodes,
-                ["xs"] * len(nodes),
-                dict(counters),
-            )
-        k = len(nodes)
+            raise state.partial(f"expansion border exhausted at {state.k}/{m} nodes")
+        k = state.k
         while heap[0][2] != k:
             v = heap[0][1]
             counters["gain_evals"] += 1
             heapq.heapreplace(heap, (-int(gains[v]), v, k))
         admit(heapq.heappop(heap)[1])
-    return SampleResult(
-        nodes=nodes,
-        tags=["xs"] * len(nodes),
-        counters=counters,
-        config=cfg.echo(sampler="xs"),
-    )
+    return state.result(cfg, "xs")
 
 
 def node2vec_step_weights(g, prev: int | None, current: int, p: float, q: float):

@@ -3,8 +3,8 @@
 ``perfbench/layers.py`` wraps netsample functions and methods by identity at
 every name a module holds them under, and its ``crawl`` workload reads
 ``len(state.dangling_members)`` from a ``tcpr`` step callback. These tests
-install those wrappers, run a tiny ``tcpr`` crawl, a tiny ``node2vec`` walk
-and a tiny ``xs`` expansion through them and check that every original comes
+install those wrappers, run each of the six samplers on a tiny graph through
+them, check the sample as perfbench does, and check that every original comes
 back on restore.
 ``perfbench/`` is only read.
 """
@@ -70,45 +70,57 @@ def test_perfbench_wrappers_install_run_and_restore(layers_and_spans):
     assert tracer.counters["graph.neighbor_queries"] > 0
 
 
-def test_perfbench_sees_the_node2vec_walk(layers_and_spans):
-    # node2vec walks through the shared walker, so both its walk and its
-    # step weights must reach the wrappers
-    layers, spans = layers_and_spans
+def _run_wrapped(layers, spans, name):
+    """Run sampler ``name`` on the graph with sinks under perfbench's wrappers."""
     g = _graph_with_sinks()
+    cfg = SamplerConfig(target_size=20, rng_seed=3, seed_nodes=(1,))
     tracer = spans.Tracer()
     patcher = layers.install(tracer)
     try:
-        result = netsample.samplers.SAMPLERS["node2vec"](
-            g, SamplerConfig(target_size=20, rng_seed=3, seed_nodes=(1,))
-        )
+        result = netsample.samplers.SAMPLERS[name](g, cfg)
     finally:
         patcher.restore()
     assert patcher.unrestored() == []
     assert tracer.check_failures == []
+    assert layers.check_sample(name, result, cfg.target_size) is None
+    assert tracer.summary()[f"sampler.{name}"]["calls"] == 1
+    return tracer, result
 
+
+def test_perfbench_sees_the_uniform_node_sampler(layers_and_spans):
+    _run_wrapped(*layers_and_spans, "rn")
+
+
+def test_perfbench_sees_the_random_walk(layers_and_spans):
+    tracer, result = _run_wrapped(*layers_and_spans, "rw")
+    assert tracer.summary()["samplers.base.walk"]["calls"] == len(result.nodes) - 1
+    assert tracer.counters["samplers.base.walk.steps"] == result.counters["steps"]
+    assert tracer.counters["samplers.baselines.rw.steps"] == result.counters["steps"]
+
+
+def test_perfbench_sees_the_tcec_crawl(layers_and_spans):
+    tracer, result = _run_wrapped(*layers_and_spans, "tcec")
     summary = tracer.summary()
-    for name in ("sampler.node2vec", "samplers.base.walk", "samplers.baselines.node2vec.step_weights"):
+    for name in ("samplers.tcec.score", "samplers.base.neighborhood",
+                 "samplers.base.leaderboard.offer", "samplers.base.leaderboard.pop_best",
+                 "samplers.base.leaderboard.discard"):
         assert summary.get(name, {}).get("calls", 0) > 0, name
+    assert summary["samplers.base.leaderboard.discard"]["calls"] == len(result.nodes)
+
+
+def test_perfbench_sees_the_node2vec_walk(layers_and_spans):
+    # node2vec walks through the shared walker, so both its walk and its
+    # step weights must reach the wrappers
+    tracer, result = _run_wrapped(*layers_and_spans, "node2vec")
+    summary = tracer.summary()
+    assert summary["samplers.baselines.node2vec.step_weights"]["calls"] > 0
     assert summary["samplers.base.walk"]["calls"] == len(result.nodes) - 1
     assert tracer.counters["samplers.base.walk.steps"] == result.counters["steps"]
 
 
 def test_perfbench_sees_the_expansion_sampler(layers_and_spans):
-    layers, spans = layers_and_spans
-    g = _graph_with_sinks()
     original = netsample.samplers.SAMPLERS["xs"]
-    tracer = spans.Tracer()
-    patcher = layers.install(tracer)
-    try:
-        result = netsample.samplers.SAMPLERS["xs"](
-            g, SamplerConfig(target_size=20, rng_seed=3, seed_nodes=(1,))
-        )
-    finally:
-        patcher.restore()
-    assert patcher.unrestored() == []
-    assert tracer.check_failures == []
+    tracer, result = _run_wrapped(*layers_and_spans, "xs")
     assert netsample.samplers.SAMPLERS["xs"] is original
-
-    assert tracer.summary()["sampler.xs"]["calls"] == 1
     peak = tracer.counters["samplers.baselines.xs.border_peak"]
     assert peak == result.counters["border_peak"] > 0

@@ -366,7 +366,7 @@ BAD_INPUTS = [
      "directed must be true or false, got 'no'"),
     ("spec", {"input": {"edge_list": "EDGES", "weighted": True}},
      "an edge_list input: unknown key(s) ['weighted']"),
-    ("spec", {"input": {"edge_list": 5}}, "cannot read 5: "),
+    ("spec", {"input": {"edge_list": 5}}, "edge_list must be a file path, got 5"),
     ("spec", {"input": {"edge_list": "MISSING"}}, "nope.txt: No such file or directory"),
     ("spec", {"input": {"edge_list": "DIR"}}, "cannot read DIR: "),
     ("spec", {"input": {"edge_list": "EDGES", "labels": "MISSING"}},

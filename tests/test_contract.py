@@ -2,9 +2,10 @@
 or raises a ``NetsampleError`` that names the problem.
 
 Each case starts from a known-good input and changes one thing. A
-``SamplerConfig`` field, or a leaf or branch of a golden experiment spec,
-takes a value from a fixed list of odd values; or a spec mapping loses a key
-or gains an unknown one. A spec that parses is then run.
+``SamplerConfig`` field, a leaf or branch of a golden experiment spec, or an
+argument of a public API call takes a value from a fixed list of odd values;
+or a spec mapping loses a key or gains an unknown one. A spec that parses is
+then run.
 """
 
 import copy
@@ -15,9 +16,11 @@ from dataclasses import fields
 
 import pytest
 
+from netsample.centrality import betweenness, pivot_sources
 from netsample.errors import NetsampleError
 from netsample.experiments import ExperimentSpec, run_experiment
-from netsample.graph import Graph
+from netsample.graph import Graph, induced_subgraph
+from netsample.metrics import CategoricalDistribution, kendall_tau, kl_divergence
 from netsample.samplers import SAMPLERS, SamplerConfig
 
 from test_golden import CONFIGS, SPECS
@@ -108,4 +111,29 @@ def test_specs_work_or_raise_netsample_errors(kind, tmp_path, monkeypatch):
 
     for case, doc in _spec_cases(base):
         raw += _raw_exception(lambda: run(doc), case)
+    assert raw == []
+
+
+def test_api_calls_work_or_raise_netsample_errors():
+    g = Graph.from_edges(7, TINY_EDGES, directed=True)
+    p = CategoricalDistribution(("a", "b"), [0.5, 0.5])
+    q = CategoricalDistribution(("a", "b"), [0.9, 0.1])
+    calls = {
+        "pivot_sources count": lambda v: pivot_sources(10, v, 0),
+        "pivot_sources n": lambda v: pivot_sources(v, 3, 0),
+        "betweenness sources": lambda v: betweenness(g, sources=v),
+        "induced_subgraph nodes": lambda v: induced_subgraph(g, v),
+        "kl_divergence eps": lambda v: kl_divergence(p, q, eps=v),
+        "CategoricalDistribution probs": lambda v: CategoricalDistribution(("a", "b"), v),
+        "kendall_tau x": lambda v: kendall_tau(v, [1.0, 2.0, 3.0]),
+    }
+    raw = []
+
+    def run(call, value):
+        out = call(value)
+        if isinstance(out, float) and math.isnan(out):
+            raise AssertionError("a NaN result without a word")
+
+    for (name, call), value in itertools.product(calls.items(), ODD):
+        raw += _raw_exception(lambda: run(call, copy.deepcopy(value)), (name, value))
     assert raw == []

@@ -185,6 +185,9 @@ def _sbm_input(attributes=None, **sbm):
         (_sbm_input({"labels": ["a", "b", "c"], "nois": 0.1}), "attributes: unknown key(s)"),
         ({**SBM_INPUT, "labels": "l.txt"}, "an sbm input: unknown key(s) ['labels']"),
         ({"edge_list": "g.txt", "direct": True}, "an edge_list input: unknown key(s)"),
+        ({"edge_list": 5}, "edge_list must be a file path, got 5"),
+        ({"edge_list": "g.txt", "directed": "yes"}, "directed must be true or false, got 'yes'"),
+        ({"edge_list": "g.txt", "labels": []}, "labels must be a file path, got []"),
         ("sbm.yaml", "input must be a mapping naming an edge_list or an sbm"),
     ],
 )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -30,6 +31,7 @@ from netsample.samplers.base import Leaderboard, SampleState, neighborhood, walk
 from netsample.samplers import baselines
 from netsample.samplers.baselines import node2vec_step_weights
 from netsample.samplers.tcpr import init_delta, member_deltas, update_deltas_on_admit
+from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
     dense_adjacency,
@@ -49,6 +51,7 @@ from conftest import (
     reference_walk_until_new,
     small_graphs,
 )
+from test_selectors import _outcome
 
 
 # -- config / result plumbing -----------------------------------------
@@ -739,3 +742,41 @@ def test_tcpr_zero_weight_edge_from_dangling_member():
     r = sample_tcpr(Graph.from_edges(3, edges[:4] + [(2, 0, 1.0)], directed=True),
                     SamplerConfig(target_size=3, seed_nodes=(0,)))
     assert sorted(r.nodes) == [0, 1, 2]
+
+
+# -- output that does not depend on n ------------------------------------
+
+
+def _edges(g):
+    """``g``'s edges as ``(src, dst, w)`` arrays, each undirected edge once."""
+    src = np.repeat(np.arange(g.n), np.diff(g._out_indptr))
+    keep = (src <= g._out_dst) | g.directed
+    return src[keep], g._out_dst[keep], g._out_w[keep]
+
+
+def _outcome_and_reads(sampler, g, cfg):
+    """``_outcome`` of one run, and its count of each kind of neighbour read."""
+    reads = dict.fromkeys(("out_neighbors", "in_neighbors", "in_transitions"), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in reads:
+
+            def counted(self, i, name=name, read=getattr(Graph, name)):
+                reads[name] += 1
+                return read(self, i)
+
+            mp.setattr(Graph, name, counted)
+        return _outcome(sampler, g, cfg), reads
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("name", ["rw", "node2vec", "xs", "tcec"])
+def test_output_does_not_depend_on_n(name, directed):
+    # tcpr is left out on purpose: its teleport term (1 - gamma)(n - k - 1)/n
+    # moves every score with n, so padding the graph can change its samples
+    # (here at exploration_p 1)
+    g, _ = generate_sbm(SbmSpec((40, 40), 0.04, 0.01, directed=directed, rng_seed=2))
+    padded = Graph(10 * g.n, *_edges(g), directed=directed)  # 9n isolated nodes
+    for seed_node, rng_seed, p in itertools.product((0, 41), (0, 1, 2), (0.1, 1.0)):
+        cfg = SamplerConfig(20, seed_nodes=(seed_node,), rng_seed=rng_seed, exploration_p=p)
+        want = _outcome_and_reads(SAMPLERS[name], g, cfg)
+        assert _outcome_and_reads(SAMPLERS[name], padded, cfg) == want
