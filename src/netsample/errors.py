@@ -39,6 +39,10 @@ class PartialSampleError(NetsampleError):
         self.tags = list(tags)
         self.counters = dict(counters)
 
+    def __reduce__(self):
+        # an experiment cell's error crosses the process boundary pickled
+        return type(self), (str(self), self.nodes, self.tags, self.counters)
+
 
 class DanglingCandidateError(NetsampleError):
     """A zero-out-degree node was offered where the criterion forbids it."""

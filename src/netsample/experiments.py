@@ -16,8 +16,10 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -484,6 +486,84 @@ STUDIES = {
 }
 
 
+@dataclass(frozen=True)
+class _Study:
+    """What every cell of a run reads: the spec, the graph, the seed
+    regions and their seed pools, and the study's ``names`` and ``measure``."""
+
+    spec: ExperimentSpec
+    g: Graph
+    regions: tuple
+    pools: list
+    names: Callable
+    measure: Callable
+
+
+def _run_cell(study: _Study, cell: tuple) -> tuple[int, dict]:
+    """The sampler's rng seed and the value of each measure name for one
+    ``(region index, sampler index, fraction index, repetition)`` cell."""
+    ri, si, fi, rep = cell
+    spec, g, region = study.spec, study.g, study.regions[ri]
+    entry = spec.samplers[si]
+    prefix = () if region is None else (ri,)
+    s_seed, n_seed = _rep_seeds(spec, prefix + (si, fi), rep)
+    seed_node = _pick_seed_node(study.pools[ri], g.n, np.random.default_rng(n_seed))
+    cfg = _build_config(entry, sample_size(spec.fractions[fi], g.n), s_seed, seed_node)
+    try:
+        sample = SAMPLERS[entry["name"]](g, cfg)
+    except PartialSampleError:
+        return s_seed, dict.fromkeys(study.names(region))
+    return s_seed, study.measure(sample, seed_node, region)
+
+
+def _cell_workers(cells: int) -> int:
+    """Worker processes for ``cells`` cells: one per CPU this process may
+    run on, at most one per cell. 1, which runs the cells in this process,
+    where ``fork`` or CPU affinity is missing, or in a daemonic process,
+    which cannot have children."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells))
+
+
+_worker_study = None  # a pool worker's study, set by _start_worker
+
+
+def _start_worker(study: _Study) -> None:
+    global _worker_study
+    _worker_study = study
+
+
+def _worker_cell(cell: tuple) -> tuple[int, dict]:
+    return _run_cell(_worker_study, cell)
+
+
+def _map_cells(study: _Study, cells: list) -> list:
+    """``_run_cell`` of each cell, in cell order.
+
+    With more than one worker the cells run on a pool of forked processes,
+    which inherit the study rather than unpickle it. The first failing cell
+    in cell order raises its own exception, as in process; the cells not
+    yet started are cancelled, and every worker has exited on return.
+    """
+    workers = _cell_workers(len(cells))
+    if workers == 1:
+        return [_run_cell(study, cell) for cell in cells]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(study,),
+    ) as pool:
+        try:
+            return list(pool.map(_worker_cell, cells))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_experiment(spec: ExperimentSpec) -> RunResult:
     """Run every (seed region, sampler, fraction, repetition) cell of a spec.
 
@@ -494,32 +574,30 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     maps each name to a value. A partial sample becomes a row with an empty
     value for each name, not a failure. An attribute run puts the region
     index at the front of every cell's seed entropy.
+
+    Each cell depends only on the spec, the graph and its own seeds, so
+    the cells run in parallel where several CPUs are usable (see
+    ``_map_cells``); the rows are added in cell order, so the outputs are
+    the same byte for byte.
     """
     g, partition = load_input(spec.input)
     regions, names, measure = STUDIES[spec.kind](spec, g, partition)
     result = RunResult(resolved_config=spec.resolved())
-    pools = {}  # region index -> seed pool, resolved at the region's first cell
-    cells = itertools.product(
-        enumerate(regions), enumerate(spec.samplers), enumerate(spec.fractions)
+    cells = list(
+        itertools.product(
+            range(len(regions)),
+            range(len(spec.samplers)),
+            range(len(spec.fractions)),
+            range(spec.repetitions),
+        )
     )
-    for (ri, region), (si, entry), (fi, fraction) in cells:
-        m = sample_size(fraction, g.n)
-        prefix = () if region is None else (ri,)
-        if ri not in pools:
-            pools[ri] = _seed_pool(spec, partition, region)
-        for rep in range(spec.repetitions):
-            s_seed, n_seed = _rep_seeds(spec, prefix + (si, fi), rep)
-            node_rng = np.random.default_rng(n_seed)
-            seed_node = _pick_seed_node(pools[ri], g.n, node_rng)
-            cfg = _build_config(entry, m, s_seed, seed_node)
-            try:
-                sample = SAMPLERS[entry["name"]](g, cfg)
-            except PartialSampleError:
-                values = dict.fromkeys(names(region))
-            else:
-                values = measure(sample, seed_node, region)
-            for meas, value in values.items():
-                result.add(spec.dataset, entry["name"], fraction, meas, rep, s_seed, value)
+    # a run with no cells draws no seed node, so a bad seed policy passes
+    pools = [_seed_pool(spec, partition, region) for region in regions] if cells else []
+    study = _Study(spec, g, regions, pools, names, measure)
+    for (ri, si, fi, rep), (s_seed, values) in zip(cells, _map_cells(study, cells)):
+        name, fraction = spec.samplers[si]["name"], spec.fractions[fi]
+        for meas, value in values.items():
+            result.add(spec.dataset, name, fraction, meas, rep, s_seed, value)
     return result
 
 

@@ -12,10 +12,12 @@ import copy
 import itertools
 import json
 import math
+import pickle
 from dataclasses import fields
 
 import pytest
 
+from netsample import errors
 from netsample.centrality import betweenness, pivot_sources
 from netsample.errors import NetsampleError
 from netsample.experiments import ExperimentSpec, run_experiment
@@ -137,3 +139,24 @@ def test_api_calls_work_or_raise_netsample_errors():
     for (name, call), value in itertools.product(calls.items(), ODD):
         raw += _raw_exception(lambda: run(call, copy.deepcopy(value)), (name, value))
     assert raw == []
+
+
+def test_every_error_survives_pickling():
+    # an experiment cell that fails in a worker process reaches the caller pickled
+    examples = [
+        errors.NetsampleError("m"),
+        errors.ValidationError("m"),
+        errors.ParseError("m", "g.txt", 3),
+        errors.ParseError("m", "g.txt"),
+        errors.PartialSampleError("m", [1, 4], ["rw", "criterion"], {"steps": 2}),
+        errors.DanglingCandidateError("m"),
+        errors.UndefinedCorrelationError("m"),
+    ]
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, NetsampleError)}
+    assert {type(e) for e in examples} == classes
+    for exc in examples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        # path and line_no; nodes, tags and counters
+        assert vars(back) == vars(exc)

@@ -1,9 +1,14 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +33,8 @@ from netsample.experiments import (
 )
 from netsample.graph import Graph, NodeMapping, save_edge_list
 from netsample.synth import SbmSpec, generate_sbm
+
+from test_golden import SPECS as GOLDEN_SPECS
 
 SBM_INPUT = {
     "sbm": {
@@ -416,6 +423,7 @@ def test_smallest_block_ties_break_by_label_text(tmp_path, monkeypatch):
         output_dir=str(tmp_path / "out"),
     )
     monkeypatch.setattr(experiments, "_build_config", recorded)
+    monkeypatch.setattr(experiments, "_cell_workers", lambda cells: 1)  # calls recorded here
     run_experiment(spec)
     _, partition = load_input(spec.input)
     assert len(seeds) == 8
@@ -489,6 +497,7 @@ def test_sample_subgraph_betweenness_uses_pivots_above_limit(tmp_path, monkeypat
 
     monkeypatch.setattr(experiments, "betweenness", recording)
     monkeypatch.setitem(MEASURES, "betweenness", recording)
+    monkeypatch.setattr(experiments, "_cell_workers", lambda cells: 1)  # calls recorded here
     spec = small_spec(
         samplers=[{"name": "rn"}],
         fractions=(0.2, 0.3),
@@ -533,6 +542,94 @@ def test_rerun_is_byte_identical(tmp_path):
         tmp_path / "r2" / "summary.csv"
     ).read_bytes()
 
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(experiments, "_cell_workers", lambda cells: n)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SPECS))
+def test_pool_and_in_process_runs_write_the_same_bytes(kind, tmp_path, monkeypatch):
+    monkeypatch.delenv("NETSAMPLE_CACHE_DIR", raising=False)
+    outputs = []
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        out = tmp_path / str(workers)
+        spec = ExperimentSpec.from_dict(dict(GOLDEN_SPECS[kind], dataset=kind, output_dir=str(out)))
+        run_experiment(spec).save(out)
+        assert multiprocessing.active_children() == []
+        # raw.csv, summary.csv and the whole-graph cache; the echoed
+        # config names the output directory
+        files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "resolved_config.json")
+        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+    assert "raw.csv" in outputs[0] and "summary.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+class CellFailed(Exception):
+    pass
+
+
+def _fail_at_cells(monkeypatch, spec, fail_at, fail=None):
+    """Make the centrality study's ``measure`` call ``fail(k)`` at each cell
+    ``k`` in ``fail_at``; by default it raises ``CellFailed``."""
+
+    def raise_cell_failed(k):
+        raise CellFailed(f"measure failed at cell {k}")
+
+    fail = fail or raise_cell_failed
+    keys = itertools.product(range(len(spec.samplers)), range(len(spec.fractions)), range(spec.repetitions))
+    cell_of = {_rep_seeds(spec, (si, fi), rep)[0]: k for k, (si, fi, rep) in enumerate(keys)}
+    study = experiments.STUDIES["centrality_comparison"]
+
+    def failing_study(spec, g, partition):
+        regions, names, measure = study(spec, g, partition)
+
+        def failing(sample, seed_node, region):
+            k = cell_of[sample.config["rng_seed"]]
+            if k in fail_at:
+                fail(k)
+            return measure(sample, seed_node, region)
+
+        return regions, names, failing
+
+    monkeypatch.setitem(experiments.STUDIES, "centrality_comparison", failing_study)
+
+
+@pytest.mark.parametrize("fail_at", [{0}, {6}, {3, 5}])
+def test_the_first_failing_cell_raises_on_both_paths(fail_at, tmp_path, monkeypatch):
+    # rn never returns a partial sample, so measure runs in every cell
+    spec = small_spec(samplers=[{"name": "rn"}], fractions=(0.1, 0.2), repetitions=4,
+                      output_dir=str(tmp_path))
+    _fail_at_cells(monkeypatch, spec, fail_at)
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        with pytest.raises(CellFailed) as info:
+            run_experiment(spec)
+        assert type(info.value) is CellFailed
+        assert str(info.value) == f"measure failed at cell {min(fail_at)}"
+        assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_breaks_the_pool_instead_of_hanging(tmp_path, monkeypatch):
+    spec = small_spec(samplers=[{"name": "rn"}], fractions=(0.1, 0.2), repetitions=4,
+                      output_dir=str(tmp_path))
+    _fail_at_cells(monkeypatch, spec, {2}, fail=lambda k: os._exit(1))
+    _workers(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(spec)
+    assert multiprocessing.active_children() == []
+
+
+def test_cell_workers_follow_the_usable_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [experiments._cell_workers(c) for c in (0, 1, 2, 5)] == [1, 1, 2, 3]
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+    assert experiments._cell_workers(5) == 1
+    monkeypatch.undo()
+    # with one usable CPU nothing is forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+    assert len(run_experiment(small_spec(output_dir=str(tmp_path))).rows) == 8
 
 SCALARS = st.one_of(
     st.none(),
