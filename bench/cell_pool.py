@@ -1,7 +1,8 @@
 """Time experiment runs in process and on the cell pool, with their memory.
 
-``run_experiment`` runs a spec's cells on a fork pool with one worker per CPU
-the process may run on, and in process when that is one CPU. This script
+``run_experiment`` runs a spec's cells on one process per CPU the process
+may run on: the calling process and forked workers claim the cells in cell
+order from one pipe of cell indices. With one CPU it forks nothing. This script
 runs perfbench's ``experiment`` and ``community`` specs (imported from
 ``perfbench/workloads.py``) in a fresh child process per setting: first with
 the child's CPU affinity set to ``{0}``, then to every CPU this process may
@@ -13,8 +14,9 @@ run on. Each child runs the spec ``--repeats`` times, with base seeds 0, 1,
   right after each run; after a forking run they include the copy-on-write
   faults of the pages the workers shared;
 * its own peak RSS (``ru_maxrss`` of ``RUSAGE_SELF``), which is what
-  perfbench's ``peak_rss_mb`` reports;
-* the largest peak RSS of its pool workers (``ru_maxrss`` of
+  perfbench's ``peak_rss_mb`` reports, and which includes the working set of
+  the cells it ran itself;
+* the largest peak RSS of its forked workers (``ru_maxrss`` of
   ``RUSAGE_CHILDREN``), which perfbench does not see;
 * the ``raw.csv`` digest of each run, which must not depend on the setting.
 

@@ -18,8 +18,10 @@ import json
 import math
 import multiprocessing
 import os
+import select
+import traceback
 from collections.abc import Callable, Mapping
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -251,17 +253,6 @@ def _build_config(entry: dict, m: int, rng_seed: int, seed_node: int) -> Sampler
 # -- ground-truth centrality cache ------------------------------------
 
 
-def _graph_digest(g: Graph) -> str:
-    """sha256 of ``n``, the kind and the bytes of ``g.edge_arrays()``, hashed
-    from the stored out-CSR without copies."""
-    h = hashlib.sha256()
-    h.update(np.int64(g.n).tobytes())
-    h.update(b"directed" if g.directed else b"undirected")
-    for a in (g.edge_src(), g._out_dst, g._out_w):
-        h.update(a)
-    return h.hexdigest()
-
-
 def cache_dir(default_root) -> Path:
     root = os.environ.get(CACHE_ENV_VAR)
     path = Path(root) if root else Path(default_root) / ".cache"
@@ -300,7 +291,7 @@ def full_centrality(
     key = None
     if cache_root is not None:
         tag = hashlib.sha256(
-            (_graph_digest(g) + measure + json.dumps(params, sort_keys=True)).encode()
+            (g.digest + measure + json.dumps(params, sort_keys=True)).encode()
         ).hexdigest()
         key = cache_dir(cache_root) / f"{measure}-{tag[:24]}.npy"
         if key.exists() and key.with_suffix(".json").exists():
@@ -528,40 +519,108 @@ def _cell_workers(cells: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), cells))
 
 
-_worker_study = None  # a pool worker's study, set by _start_worker
+_TOKEN_BYTES = 4
+_MAX_TOKENS = 16_384  # 64 KiB of tokens, the default pipe buffer
 
 
-def _start_worker(study: _Study) -> None:
-    global _worker_study
-    _worker_study = study
+class _CellTraceback(Exception):
+    """The traceback of a cell that raised in a forked worker."""
+
+    def __str__(self):
+        return self.args[0]
 
 
-def _worker_cell(cell: tuple) -> tuple[int, dict]:
-    return _run_cell(_worker_study, cell)
+def _claim_cells(study: _Study, cells: list, tokens: int, run: int) -> tuple[dict, tuple | None]:
+    """Run the cells named by the tokens read from the pipe ``tokens`` until
+    it is empty: token ``k`` names cells ``k * run`` up to ``(k + 1) * run``.
+
+    Returns ``_run_cell`` of each cell run, by cell index, and the index, the
+    exception and the traceback text of the cell that raised, or None. A
+    cell that raises drains the pipe, so no process starts a new cell.
+    """
+    results = {}
+    while token := os.read(tokens, _TOKEN_BYTES):
+        k = int.from_bytes(token, "little")
+        for i in range(k * run, min((k + 1) * run, len(cells))):
+            try:
+                results[i] = _run_cell(study, cells[i])
+            except Exception as exc:
+                while os.read(tokens, 1 << 16):
+                    pass
+                return results, (i, exc, traceback.format_exc())
+    return results, None
+
+
+def _child(study: _Study, cells: list, tokens: int, run: int, conn) -> None:
+    conn.send(_claim_cells(study, cells, tokens, run))
+
+
+def _token_limit(fd: int) -> int:
+    """The most tokens the empty pipe ``fd`` holds: its buffer on Linux,
+    ``PIPE_BUF`` elsewhere, and at most ``_MAX_TOKENS``."""
+    import fcntl  # POSIX, as fork is
+
+    size = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) if hasattr(fcntl, "F_GETPIPE_SZ") else select.PIPE_BUF
+    return min(_MAX_TOKENS, size // _TOKEN_BYTES)
 
 
 def _map_cells(study: _Study, cells: list) -> list:
     """``_run_cell`` of each cell, in cell order.
 
-    With more than one worker the cells run on a pool of forked processes,
-    which inherit the study rather than unpickle it. The first failing cell
-    in cell order raises its own exception, as in process; the cells not
-    yet started are cancelled, and every worker has exited on return.
+    With more than one worker, this process and ``workers - 1`` forked
+    children, which inherit the study rather than unpickle it, claim the
+    cells in cell order from one pipe of cell indices. Each child sends its
+    results in one message once the pipe is empty. The first failing cell
+    in cell order raises its own exception, as in process: the cells
+    claimed before it finish, and none starts after it. A child that exits
+    without its message raises ``BrokenProcessPool``. Every child has been
+    stopped and joined on return.
     """
     workers = _cell_workers(len(cells))
     if workers == 1:
         return [_run_cell(study, cell) for cell in cells]
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(study,),
-    ) as pool:
-        try:
-            return list(pool.map(_worker_cell, cells))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    ctx = multiprocessing.get_context("fork")
+    tokens, write_end = os.pipe()
+    children = []
+    try:
+        # all the tokens fit in the pipe, so the write returns before any read
+        with open(write_end, "wb") as fh:
+            run = -(-len(cells) // _token_limit(write_end))
+            fh.write(np.arange(-(-len(cells) // run), dtype="<u4").tobytes())
+        for _ in range(workers - 1):
+            conn, child_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, args=(study, cells, tokens, run, child_end), daemon=True)
+            proc.start()
+            child_end.close()  # so the pipe of a child that dies reads end of file
+            children.append((proc, conn))
+        messages = [_claim_cells(study, cells, tokens, run)]
+        for proc, conn in children:
+            try:
+                messages.append(conn.recv())
+            except (EOFError, OSError):
+                proc.join()
+                raise BrokenProcessPool(
+                    f"a cell worker exited with code {proc.exitcode} before sending its results"
+                ) from None
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        os.close(tokens)
+        for proc, conn in children:
+            proc.join()
+            conn.close()
+    failures = [failure for _, failure in messages if failure is not None]
+    if failures:
+        _, exc, text = min(failures, key=lambda f: f[0])
+        if exc.__traceback__ is None:  # unpickled from a child
+            raise exc from _CellTraceback(text)
+        raise exc
+    results = {}
+    for done, _ in messages:
+        results.update(done)
+    return [results[i] for i in range(len(cells))]
 
 
 def run_experiment(spec: ExperimentSpec) -> RunResult:

@@ -9,6 +9,7 @@ arbitrary file ids and return the mapping alongside the graph.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import warnings
@@ -225,6 +226,17 @@ class Graph:
     def has_self_loop(self) -> bool:
         """Whether some node is its own neighbour."""
         return bool(np.any(self._out_dst == self.edge_src()))
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of ``n``, the kind and the bytes of ``edge_arrays()``,
+        hashed from the stored out-CSR without copies."""
+        h = hashlib.sha256()
+        h.update(np.int64(self.n).tobytes())
+        h.update(b"directed" if self.directed else b"undirected")
+        for a in (self.edge_src(), self._out_dst, self._out_w):
+            h.update(a)
+        return h.hexdigest()
 
     # -- bulk views ---------------------------------------------------
 

@@ -311,15 +311,13 @@ def can_leave(g, sampled, member_mask, takes=None) -> bool:
     """Whether some node of ``sampled`` has an out-edge that a walk step can
     take to a node outside ``member_mask``.
 
-    ``takes(w, last)`` flags the out-edges the step can take from their
-    weights ``w`` and whether each is the ``last`` of its list; None means
-    every out-edge.
+    ``takes(w)`` flags the out-edges the step can take from their weights
+    ``w``; None means every out-edge.
     """
-    rows = np.asarray(sampled, dtype=np.int64)
-    owner, pos = csr_rows(g._out_indptr, rows)
+    _, pos = csr_rows(g._out_indptr, np.asarray(sampled, dtype=np.int64))
     leave = ~member_mask[g._out_dst[pos]]
     if takes is not None:
-        leave &= takes(g._out_w[pos], pos == g._out_indptr[rows + 1][owner] - 1)
+        leave &= takes(g._out_w[pos])
     return bool(leave.any())
 
 

@@ -177,12 +177,9 @@ def sample_node2vec_walk(g, cfg: SamplerConfig) -> SampleResult:
         if total <= 0:
             return None
         u = rng.random() * total
-        pos = min(int(weights.cumsum().searchsorted(u, "right")), idx.size - 1)
+        pos = int(weights.cumsum().searchsorted(u, "right"))
+        if pos == idx.size:  # u at or past a cumsum that rounds below the total
+            pos = int(np.flatnonzero(weights > 0)[-1])
         return int(idx[pos])
 
-    def takes(w, last):
-        # a draw lands on positive weight, but the clamp above, against a
-        # cumsum that rounds below the total, can pick the last edge
-        return (w > 0) | last
-
-    return _walk_sample(g, cfg, "node2vec", "node2vec walk", step, takes)
+    return _walk_sample(g, cfg, "node2vec", "node2vec walk", step, lambda w: w > 0)

@@ -927,7 +927,9 @@ def reference_sample_node2vec(g: Graph, cfg):
             current = nodes[int(rng.integers(len(nodes)))]
             continue
         u = rng.random() * total
-        pos = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), idx.size - 1)
+        pos = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+        if pos == idx.size:
+            pos = int(np.flatnonzero(weights > 0)[-1])
         prev, current = current, int(idx[pos])
         if not visited[current]:
             visited[current] = True

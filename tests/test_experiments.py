@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,13 +17,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsample import experiments
+from netsample import experiments, graph
 from netsample.centrality import MEASURES, betweenness, pivot_sources
 from netsample.errors import NetsampleError, ValidationError
 from netsample.experiments import (
     ExperimentSpec,
     RunResult,
-    _graph_digest,
     _rep_seeds,
     aggregate_rows,
     full_centrality,
@@ -463,7 +463,19 @@ def test_graph_digest_hashes_the_bytes_of_edge_arrays(directed):
     h.update(b"directed" if directed else b"undirected")
     for a in g.edge_arrays():
         h.update(a.tobytes())
-    assert _graph_digest(g) == h.hexdigest()
+    assert g.digest == h.hexdigest()
+
+
+def test_a_run_hashes_its_graph_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("NETSAMPLE_CACHE_DIR", raising=False)
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(graph, "hashlib", SimpleNamespace(sha256=lambda: hashed.append(1) or sha256()))
+    _workers(monkeypatch, 1)  # calls recorded here
+    measures = ("eigenvector", "pagerank", "indegree", "betweenness", "springrank")
+    run_experiment(small_spec(measures=measures, output_dir=str(tmp_path)))
+    assert len(list((tmp_path / ".cache").glob("*.npy"))) == 5
+    assert len(hashed) == 1
 
 
 def test_full_centrality_cache_keeps_convergence_metadata(tmp_path, monkeypatch):
@@ -547,22 +559,47 @@ def _workers(monkeypatch, n):
     monkeypatch.setattr(experiments, "_cell_workers", lambda cells: n)
 
 
+def _golden_outputs(kind, out) -> dict:
+    """The bytes of each file a golden spec's run writes under ``out``:
+    raw.csv, summary.csv and the whole-graph cache; the echoed config names
+    the output directory, so it is left out."""
+    spec = ExperimentSpec.from_dict(dict(GOLDEN_SPECS[kind], dataset=kind, output_dir=str(out)))
+    run_experiment(spec).save(out)
+    assert multiprocessing.active_children() == []
+    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "resolved_config.json")
+    outputs = {str(p.relative_to(out)): p.read_bytes() for p in files}
+    assert "raw.csv" in outputs and "summary.csv" in outputs
+    return outputs
+
+
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SPECS))
 def test_pool_and_in_process_runs_write_the_same_bytes(kind, tmp_path, monkeypatch):
     monkeypatch.delenv("NETSAMPLE_CACHE_DIR", raising=False)
     outputs = []
     for workers in (1, 2):
         _workers(monkeypatch, workers)
-        out = tmp_path / str(workers)
-        spec = ExperimentSpec.from_dict(dict(GOLDEN_SPECS[kind], dataset=kind, output_dir=str(out)))
-        run_experiment(spec).save(out)
-        assert multiprocessing.active_children() == []
-        # raw.csv, summary.csv and the whole-graph cache; the echoed
-        # config names the output directory
-        files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "resolved_config.json")
-        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in files})
-    assert "raw.csv" in outputs[0] and "summary.csv" in outputs[0]
+        outputs.append(_golden_outputs(kind, tmp_path / str(workers)))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers, max_tokens", [(3, None), (2, 5)])
+def test_more_processes_than_cpus_and_runs_of_cells_write_the_same_bytes(
+    workers, max_tokens, tmp_path, monkeypatch
+):
+    # 3 processes on 2 CPUs; 5 tokens for 36 cells, so each names a run of 8
+    monkeypatch.delenv("NETSAMPLE_CACHE_DIR", raising=False)
+    _workers(monkeypatch, 1)
+    in_process = _golden_outputs("community", tmp_path / "1")
+    _workers(monkeypatch, workers)
+    if max_tokens is not None:
+        monkeypatch.setattr(experiments, "_MAX_TOKENS", max_tokens)
+    assert _golden_outputs("community", tmp_path / "pool") == in_process
+
+
+def _rn_spec(tmp_path):
+    # rn never returns a partial sample, so measure runs in every cell
+    return small_spec(samplers=[{"name": "rn"}], fractions=(0.1, 0.2), repetitions=4,
+                      output_dir=str(tmp_path))
 
 
 class CellFailed(Exception):
@@ -597,9 +634,7 @@ def _fail_at_cells(monkeypatch, spec, fail_at, fail=None):
 
 @pytest.mark.parametrize("fail_at", [{0}, {6}, {3, 5}])
 def test_the_first_failing_cell_raises_on_both_paths(fail_at, tmp_path, monkeypatch):
-    # rn never returns a partial sample, so measure runs in every cell
-    spec = small_spec(samplers=[{"name": "rn"}], fractions=(0.1, 0.2), repetitions=4,
-                      output_dir=str(tmp_path))
+    spec = _rn_spec(tmp_path)
     _fail_at_cells(monkeypatch, spec, fail_at)
     for workers in (1, 2):
         _workers(monkeypatch, workers)
@@ -610,13 +645,69 @@ def test_the_first_failing_cell_raises_on_both_paths(fail_at, tmp_path, monkeypa
         assert multiprocessing.active_children() == []
 
 
+def _in_child(parent_pid, child, parent):
+    """A ``fail`` for ``_fail_at_cells`` that calls ``child(k)`` in a forked
+    worker and ``parent(k)`` in the calling process."""
+    return lambda k: child(k) if os.getpid() != parent_pid else parent(k)
+
+
+def _wait_for_the_child():
+    for proc in multiprocessing.active_children():
+        proc.join(10)
+
+
 def test_a_dead_worker_breaks_the_pool_instead_of_hanging(tmp_path, monkeypatch):
-    spec = small_spec(samplers=[{"name": "rn"}], fractions=(0.1, 0.2), repetitions=4,
-                      output_dir=str(tmp_path))
-    _fail_at_cells(monkeypatch, spec, {2}, fail=lambda k: os._exit(1))
+    # the child dies in its first cell; the parent's first cell waits for
+    # that, so cells are left for the child to claim
+    spec = _rn_spec(tmp_path)
+    fail = _in_child(os.getpid(), lambda k: os._exit(1), lambda k: _wait_for_the_child())
+    _fail_at_cells(monkeypatch, spec, set(range(8)), fail)
     _workers(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
         run_experiment(spec)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_first_failing_cell_raises_when_the_parent_fails_first(tmp_path, monkeypatch):
+    # each process blocks in its first cell, cell 0 or 1; the parent's
+    # raises while the child's still runs, and cell 0 raises either way
+    spec = _rn_spec(tmp_path)
+    started = multiprocessing.get_context("fork").Event()
+
+    def child(k):
+        started.set()
+        time.sleep(0.5)
+        raise CellFailed(f"measure failed at cell {k}")
+
+    def parent(k):
+        assert started.wait(10)
+        raise CellFailed(f"measure failed at cell {k}")
+
+    _fail_at_cells(monkeypatch, spec, set(range(8)), _in_child(os.getpid(), child, parent))
+    _workers(monkeypatch, 2)
+    with pytest.raises(CellFailed, match="at cell 0$"):
+        run_experiment(spec)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_parent_stops_the_children(tmp_path, monkeypatch):
+    spec = _rn_spec(tmp_path)
+    started = multiprocessing.get_context("fork").Event()
+
+    def child(k):
+        started.set()
+        time.sleep(60)
+
+    def parent(k):
+        assert started.wait(10)
+        raise KeyboardInterrupt
+
+    _fail_at_cells(monkeypatch, spec, set(range(8)), _in_child(os.getpid(), child, parent))
+    _workers(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(spec)
+    assert time.perf_counter() - t0 < 30
     assert multiprocessing.active_children() == []
 
 
@@ -628,7 +719,7 @@ def test_cell_workers_follow_the_usable_cpus(tmp_path, monkeypatch):
     monkeypatch.undo()
     # with one usable CPU nothing is forked
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(os, "fork", None)
     assert len(run_experiment(small_spec(output_dir=str(tmp_path))).rows) == 8
 
 SCALARS = st.one_of(

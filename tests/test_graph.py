@@ -23,7 +23,6 @@ from netsample.graph import (
     load_labels,
     save_edge_list,
 )
-from netsample.experiments import _graph_digest
 from netsample.samplers.baselines import sample_random_walk
 from netsample.synth import SbmSpec, generate_sbm
 
@@ -234,7 +233,7 @@ def test_out_side_work_leaves_a_directed_graphs_in_side_unbuilt(tmp_path):
     betweenness(g)
     sub, _ = induced_subgraph(g, range(50))
     sample_random_walk(g, SamplerConfig(target_size=20, rng_seed=0))
-    _graph_digest(g)
+    g.digest
     for h in (g, loaded, sub):
         assert not in_side_built(h)
 

@@ -660,6 +660,31 @@ def test_walk_with_no_way_out_returns_at_once(monkeypatch):
     assert len(calls) < 10
 
 
+class _TopDraws:
+    """A generator whose ``random()`` is the largest double below 1."""
+
+    def random(self):
+        return 1 - 2**-53
+
+    def integers(self, high):
+        return high - 1
+
+
+def test_node2vec_never_takes_a_zero_weight_edge(monkeypatch):
+    # eight weights drawn at random and a zero last one, whose pairwise sum
+    # is an ulp above the sequential cumsum; the top draw lands past the
+    # cumsum's end, and the step takes the last edge of positive weight
+    weights = [13.45410878679858, 8.58177174533346, 9.226680994884456, 9.362419139697058,
+               24.686124754661666, 15.818906815178652, 16.85809826261234, 8.249086384636458, 0.0]
+    w = np.array(weights)
+    assert (1 - 2**-53) * float(np.add.reduce(w)) >= w.cumsum()[-1]
+    g = Graph.from_edges(10, [(0, j + 1, x) for j, x in enumerate(weights)], directed=True)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _TopDraws())
+    cfg = SamplerConfig(target_size=2, seed_nodes=(0,))
+    assert sample_node2vec_walk(g, cfg).nodes == [0, 8]
+    assert reference_sample_node2vec(g, cfg).nodes == [0, 8]
+
+
 def test_tcpr_reads_each_in_list_once_per_admission(rng, monkeypatch):
     g = random_digraph(80, 0.08, rng)
     reads, scores, states = [], [], []
