@@ -585,8 +585,8 @@ def _map_cells(study: _Study, cells: list) -> list:
     try:
         # all the tokens fit in the pipe, so the write returns before any read
         with open(write_end, "wb") as fh:
-            run = -(-len(cells) // _token_limit(write_end))
-            fh.write(np.arange(-(-len(cells) // run), dtype="<u4").tobytes())
+            run = math.ceil(len(cells) / _token_limit(write_end))
+            fh.write(np.arange(math.ceil(len(cells) / run), dtype="<u4").tobytes())
         for _ in range(workers - 1):
             conn, child_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_child, args=(study, cells, tokens, run, child_end), daemon=True)
