@@ -9,7 +9,6 @@ two spectral measures agree on orientation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ValidationError, is_integer, is_real, require
-from .graph import _MAX_NODES, Graph, csr_rows
+from .graph import _MAX_NODES, Graph, csr_rows, node_ids
 
 # betweenness runs BLOCK_SLOTS // (n + num_edges) sources at a time (at
 # least one), which keeps its per-block key and edge arrays to a few MB;
@@ -147,15 +146,7 @@ def betweenness(g: Graph, sources=None) -> CentralityVector:
     if sources is None:
         sources = np.arange(n, dtype=np.int64)
     else:
-        ok = isinstance(sources, Iterable)
-        require("betweenness sources", sources, "a collection of node ids", ok)
-        sources = np.asarray(list(sources))
-        if sources.size and sources.dtype.kind not in "iu":
-            raise ValidationError(f"betweenness sources must be node ids, got {sources.dtype} values")
-        sources = sources.astype(np.int64)
-        bad = sources[(sources < 0) | (sources >= n)]
-        if bad.size:
-            raise ValidationError(f"betweenness source {int(bad[0])} not in 0..{n - 1}")
+        sources = node_ids("betweenness source", sources, n)
     # a source with no out-edges adds only zeros
     sources = sources[g._out_indptr[sources + 1] > g._out_indptr[sources]]
     block = max(1, BLOCK_SLOTS // max(1, n + g.num_edges))

@@ -287,7 +287,8 @@ def full_centrality(
     """
     if measure not in MEASURES:
         raise ValidationError(f"unknown measure {measure!r}")
-    params = {"pivots": spec.betweenness_pivots} if _pivoted(g, measure) else {}
+    # pivoted betweenness depends on the pivots, which base_seed draws
+    params = {"pivots": spec.betweenness_pivots, "seed": spec.base_seed} if _pivoted(g, measure) else {}
     key = None
     if cache_root is not None:
         tag = hashlib.sha256(

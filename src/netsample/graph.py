@@ -117,6 +117,18 @@ def _edge_column(name, values, what, kinds) -> np.ndarray:
     return a
 
 
+def node_ids(name: str, ids, n: int) -> np.ndarray:
+    """``ids``, any iterable of integers, as an int64 array in ``0..n-1``;
+    anything else is a ``ValidationError`` that names ``name``."""
+    if isinstance(ids, Iterable) and not isinstance(ids, np.ndarray):
+        ids = list(ids)  # a generator or a set has no array view
+    a = _edge_column(name, ids, "integer node ids", "iu")
+    if a.size and (a.min() < 0 or a.max() >= n):
+        bad = a[(a < 0) | (a >= n)][0]
+        raise ValidationError(f"{name} {bad} not in 0..{n - 1}")
+    return a.astype(np.int64, copy=False)
+
+
 class Graph:
     """Immutable weighted graph; all weights are finite and >= 0.
 
@@ -313,8 +325,8 @@ class NodeMapping:
 
     sub_to_full: np.ndarray
 
-    def to_full(self, sub_ids):
-        return self.sub_to_full[np.asarray(sub_ids, dtype=np.int64)]
+    def to_full(self, sub_ids) -> np.ndarray:
+        return self.sub_to_full[node_ids("subgraph id", sub_ids, len(self.sub_to_full))]
 
     def __len__(self):
         return len(self.sub_to_full)
@@ -350,15 +362,7 @@ class LabeledPartition:
 
     def codes_of(self, nodes) -> np.ndarray:
         """The codes of ``nodes``; an id outside ``0..n-1`` is a ``ValidationError``."""
-        idx = np.asarray(nodes)
-        if not idx.size:
-            return self.codes[:0]
-        if idx.dtype.kind not in "iu":
-            raise ValidationError(f"node ids must be integers, got dtype {idx.dtype}")
-        bad = (idx < 0) | (idx >= self.codes.size)
-        if bad.any():
-            raise ValidationError(f"node id {idx[bad][0]} not in 0..{self.codes.size - 1}")
-        return self.codes[idx]
+        return self.codes[node_ids("node id", nodes, self.codes.size)]
 
     def label_of(self, node: int) -> Hashable:
         return self.names[self.codes_of([node])[0]]
@@ -518,8 +522,7 @@ def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
             raise ValidationError(
                 f"mapping must hold {g.n} integer ids, got a {ids.dtype} array of shape {ids.shape}"
             )
-        src = mapping.to_full(src)
-        dst = mapping.to_full(dst)
+        src, dst = ids[src], ids[dst]
     with open(path, "wb") as fh:
         # format a block of rows per write, so memory stays flat in the edge count
         for lo in range(0, src.size, _WRITE_BLOCK):
@@ -629,15 +632,9 @@ def csr_rows(indptr, rows):
 
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
     """Subgraph on ``nodes`` with exactly the edges of ``g`` inside the set."""
-    require("nodes", nodes, "a collection of node ids", isinstance(nodes, Iterable))
-    node_arr = np.asarray(list(nodes))
+    node_arr = np.unique(node_ids("node id", nodes, g.n))
     if node_arr.size == 0:
         raise ValidationError("empty node set")
-    if node_arr.dtype.kind not in "iu":
-        raise ValidationError(f"node ids must be integers, got dtype {node_arr.dtype}")
-    if node_arr.min() < 0 or node_arr.max() >= g.n:
-        raise ValidationError("node id out of range")
-    node_arr = np.unique(node_arr.astype(np.int64))
     sub_id = np.full(g.n, -1, dtype=np.int64)
     sub_id[node_arr] = np.arange(node_arr.size)
     # a member's index in node_arr is its subgraph id

@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import PartialSampleError, ValidationError, is_integer, is_real, require
-from ..graph import csr_rows
+from ..errors import ParseError, PartialSampleError, ValidationError, from_mapping, is_integer, is_real, require
+from ..graph import csr_rows, node_ids
 
 # the walker jumps back into the sample this often; the protocol never
 # specifies sink handling, so the constant is recorded in every result
@@ -84,8 +84,7 @@ class SamplerConfig:
         """Check the fields that the graph's node count ``n`` bounds."""
         if self.target_size > n:
             raise ValidationError(f"target size {self.target_size} not in 1..{n}")
-        if self.seed_nodes and not 0 <= self.seed_nodes[0] < n:
-            raise ValidationError(f"seed node {self.seed_nodes[0]} not in 0..{n - 1}")
+        node_ids("seed node", self.seed_nodes, n)
 
     def resolved_alpha(self, directed: bool) -> float:
         if self.alpha is not None:
@@ -130,8 +129,11 @@ class SampleResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SampleResult":
-        d = json.loads(text)
-        return cls(nodes=d["nodes"], tags=d["tags"], counters=d["counters"], config=d["config"])
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not JSON: {exc.msg}", line_no=exc.lineno) from None
+        return from_mapping(cls, d, "sample result")
 
     def save(self, json_path, nodes_path=None) -> None:
         with open(json_path, "w", encoding="utf-8") as fh:
@@ -266,11 +268,17 @@ class SampleState:
         self.member_mask[node] = True
 
     def partial(self, message: str) -> PartialSampleError:
-        return PartialSampleError(message, self.members, self.tags, self.counters)
+        return PartialSampleError(message, self.members, self.tags, self._final_counters())
 
     def result(self, cfg: SamplerConfig, name: str) -> SampleResult:
         config = cfg.echo(sampler=name)
-        return SampleResult(list(self.members), self.tags, self.counters, config)
+        return SampleResult(list(self.members), self.tags, self._final_counters(), config)
+
+    def _final_counters(self) -> dict:
+        """The counters, plus the leaderboard's evictions when there is one."""
+        if self.leaderboard is not None:
+            self.counters["leaderboard_evictions"] = self.leaderboard.evictions
+        return self.counters
 
 
 def start(g, cfg: SamplerConfig):
@@ -440,5 +448,4 @@ def run_criterion_crawl(
         origin = state.members[int(rng.integers(state.k))]
         admit(walk_from(origin, "graph exhausted"), "fallback")
 
-    counters["leaderboard_evictions"] = state.leaderboard.evictions
     return state.result(cfg, sampler_name)

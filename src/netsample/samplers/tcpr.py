@@ -122,9 +122,10 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
     artificial complete-graph edges are never crawled), dangling candidates
     are skipped, and delta bookkeeping runs on every admission.
     """
-    state = SampleState.empty(g.n, cfg.leaderboard_capacity, delta=np.zeros(g.n))
+    state = SampleState.empty(
+        g.n, cfg.leaderboard_capacity, delta=np.zeros(g.n), counters={"dangling_skipped": 0}
+    )
     gamma = cfg.damping
-    counters_extra = {"dangling_skipped": 0}
 
     def score_fn(j):
         return tcpr_score(g, state, j, gamma)
@@ -134,9 +135,7 @@ def sample_tcpr(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         # the in-list is sorted and distinct; node itself is no candidate
         in_idx, live, member = update_deltas_on_admit(g, state, node)
         dead = ~live & (in_idx != node) if g.has_self_loop else ~live
-        counters_extra["dangling_skipped"] += int(np.count_nonzero(dead))
+        state.counters["dangling_skipped"] += int(np.count_nonzero(dead))
         return in_idx[live & ~member]
 
-    result = run_criterion_crawl(g, cfg, state, "tcpr", score_fn, on_admit, step_callback)
-    result.counters.update(counters_extra)
-    return result
+    return run_criterion_crawl(g, cfg, state, "tcpr", score_fn, on_admit, step_callback)

@@ -794,8 +794,12 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
     rng = np.random.default_rng(cfg.rng_seed)
     m = cfg.target_size
     tags: list[str] = []
-    counters = {"scored_candidates": 0, "fallback_events": 0, "rw_steps": 0}
+    counters = state.counters
+    counters.update(scored_candidates=0, fallback_events=0, rw_steps=0)
     budget = STEP_BUDGET_FACTOR * m
+
+    def final_counters():
+        return {**counters, "leaderboard_evictions": state.leaderboard.evictions}
 
     def admit(node, tag):
         state.members.append(node)
@@ -823,7 +827,7 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
         counters["rw_steps"] += used
         if current is None:
             raise PartialSampleError(
-                f"rw-init exhausted at {state.k}/{m} nodes", state.members, tags, counters
+                f"rw-init exhausted at {state.k}/{m} nodes", state.members, tags, final_counters()
             )
         admit(current, "rw-init")
     while state.k < m:
@@ -840,12 +844,11 @@ def reference_criterion_crawl(g, cfg, state, sampler_name, score_fn, offer_candi
         counters["rw_steps"] += used
         if nxt is None:
             raise PartialSampleError(
-                f"graph exhausted at {state.k}/{m} nodes", state.members, tags, counters
+                f"graph exhausted at {state.k}/{m} nodes", state.members, tags, final_counters()
             )
         admit(nxt, "fallback")
-    counters["leaderboard_evictions"] = state.leaderboard.evictions
     return SampleResult(
-        nodes=list(state.members), tags=tags, counters=counters, config=cfg.echo(sampler=sampler_name)
+        nodes=list(state.members), tags=tags, counters=final_counters(), config=cfg.echo(sampler=sampler_name)
     )
 
 
@@ -864,10 +867,13 @@ def reference_sample_tcec(g: Graph, cfg):
 
 def reference_sample_tcpr(g: Graph, cfg):
     state = SampleState.empty(
-        g.n, cfg.leaderboard_capacity, in_sample_indegree=np.zeros(g.n), delta=np.zeros(g.n)
+        g.n,
+        cfg.leaderboard_capacity,
+        in_sample_indegree=np.zeros(g.n),
+        delta=np.zeros(g.n),
+        counters={"dangling_skipped": 0},
     )
     dangling = g.out_strength <= 0
-    extra = {"dangling_skipped": 0}
 
     def on_admit(node):
         init_delta(g, state, node)
@@ -877,10 +883,10 @@ def reference_sample_tcpr(g: Graph, cfg):
         cands = np.unique(g.in_neighbors(node)[0])
         cands = cands[cands != node]
         ok = ~dangling[cands]
-        extra["dangling_skipped"] += int(np.count_nonzero(~ok))
+        state.counters["dangling_skipped"] += int(np.count_nonzero(~ok))
         return cands[ok]
 
-    result = reference_criterion_crawl(
+    return reference_criterion_crawl(
         g,
         cfg,
         state,
@@ -889,8 +895,6 @@ def reference_sample_tcpr(g: Graph, cfg):
         offer_candidates,
         on_admit,
     )
-    result.counters.update(extra)
-    return result
 
 
 def reference_sample_node2vec(g: Graph, cfg):

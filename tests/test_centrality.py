@@ -228,7 +228,7 @@ def test_betweenness_rejects_bad_sources():
         with pytest.raises(ValidationError, match=f"source {bad} not in 0..2"):
             betweenness(g, sources=[0, bad])
     for bad in ([0, 1.5], [True]):
-        with pytest.raises(ValidationError, match="must be node ids"):
+        with pytest.raises(ValidationError, match="^betweenness source must be a 1-D array of integer node ids"):
             betweenness(g, sources=bad)
     assert not betweenness(g, sources=[]).scores.any()
 

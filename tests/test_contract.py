@@ -5,7 +5,8 @@ Each case starts from a known-good input and changes one thing. A
 ``SamplerConfig`` field, a leaf or branch of a golden experiment spec, or an
 argument of a public API call takes a value from a fixed list of odd values;
 or a spec mapping loses a key or gains an unknown one. A spec that parses is
-then run.
+then run. Every call that takes node ids gets a fixed list of odd ids, and
+an error it raises must name the argument.
 """
 
 import copy
@@ -13,16 +14,18 @@ import itertools
 import json
 import math
 import pickle
+import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from netsample import errors
 from netsample.centrality import betweenness, pivot_sources
 from netsample.errors import NetsampleError
 from netsample.experiments import ExperimentSpec, run_experiment
-from netsample.graph import Graph, induced_subgraph
-from netsample.metrics import CategoricalDistribution, kendall_tau, kl_divergence
+from netsample.graph import Graph, LabeledPartition, NodeMapping, induced_subgraph
+from netsample.metrics import CategoricalDistribution, kendall_tau, kl_divergence, label_histogram
 from netsample.samplers import SAMPLERS, SamplerConfig
 
 from test_golden import CONFIGS, SPECS
@@ -139,6 +142,44 @@ def test_api_calls_work_or_raise_netsample_errors():
     for (name, call), value in itertools.product(calls.items(), ODD):
         raw += _raw_exception(lambda: run(call, copy.deepcopy(value)), (name, value))
     assert raw == []
+
+
+def test_node_id_calls_work_or_raise_errors_that_name_the_argument():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)
+    part = LabeledPartition.from_labels(3, [0, 1], ["a", "b"])
+    mapping = NodeMapping(sub_to_full=np.array([10, 20, 30]))
+    # (call, a pattern that names its argument, the call)
+    calls = [
+        ("induced_subgraph", "node id|empty node set", lambda v: induced_subgraph(g, v)),
+        ("betweenness", "betweenness source", lambda v: betweenness(g, sources=v)),
+        ("codes_of", "node id", part.codes_of),
+        ("label_histogram", "node id|empty node set", lambda v: label_histogram(v, part)),
+        ("label_of", "node id", part.label_of),
+        ("to_full", "subgraph id", mapping.to_full),
+        ("SamplerConfig.validate", "seed.node", lambda v: SamplerConfig(1, seed_nodes=v).validate(3)),
+    ]
+    scalars = [-1, 3, 1.5, True, "x", 2**70]
+    # factories, so that each call gets a fresh generator
+    inputs = [
+        *[lambda v=v: v for v in scalars],
+        *[lambda v=v: [v] for v in scalars],
+        lambda: [[0], [1, 2]],
+        lambda: np.array([2**64 - 1], dtype=np.uint64),
+        lambda: [],
+        lambda: (v for v in (2, 0)),
+    ]
+    bad = []
+    for (name, pattern, call), make in itertools.product(calls, inputs):
+        value = make()
+        case = (name, repr(value))
+        try:
+            call(value)
+        except NetsampleError as exc:
+            if not re.search(pattern, str(exc)):
+                bad.append(f"{case}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - any other exception breaks the contract
+            bad.append(f"{case}: {type(exc).__name__}: {exc}")
+    assert bad == []
 
 
 def test_every_error_survives_pickling():

@@ -530,6 +530,25 @@ def test_sample_subgraph_betweenness_uses_pivots_above_limit(tmp_path, monkeypat
     assert all(v is not None for v in result.values())
 
 
+def test_pivoted_betweenness_cache_is_keyed_on_the_pivot_seed(tmp_path, monkeypatch):
+    # a rerun with another base_seed into a shared cache draws other pivots
+    monkeypatch.setattr(experiments, "EXACT_BETWEENNESS_LIMIT", 30)
+    _workers(monkeypatch, 1)
+
+    def raw_csv(seed, out, cache):
+        monkeypatch.setenv("NETSAMPLE_CACHE_DIR", str(cache))
+        spec = small_spec(
+            measures=("betweenness",), betweenness_pivots=10, base_seed=seed, output_dir=str(out)
+        )
+        run_experiment(spec).save(out)
+        return (out / "raw.csv").read_bytes()
+
+    fresh = {seed: raw_csv(seed, tmp_path / f"fresh{seed}", tmp_path / f"cache{seed}") for seed in (0, 1)}
+    for seed in (0, 1):
+        assert raw_csv(seed, tmp_path / f"shared{seed}", tmp_path / "shared") == fresh[seed]
+    assert len(list((tmp_path / "shared").glob("betweenness-*.npy"))) == 2
+
+
 def test_merge_results(tmp_path):
     spec = small_spec(output_dir=str(tmp_path / "a"))
     run_experiment(spec).save(spec.output_dir)

@@ -157,11 +157,11 @@ PARTIAL_SAMPLES = {
     ),
     "tcec": (
         "graph exhausted at 3/8 nodes",
-        "7030dea309b3013da509e837c11e65f56dbb36d295cd37000c405ebc7a8eea3c",
+        "ae0a244fb536f0c4bb3715844cbb1e9c1e1eebb803eecc0c6a06ed5b75f7688c",
     ),
     "tcpr": (
         "graph exhausted at 3/8 nodes",
-        "0c326f5a78c2ac08be5bce14842bd7390ca4ea9e130d37740e23f207971addf9",
+        "a739b9cdee3649427dd55414adb746769f8be306496354b850d932a637f1a3de",
     ),
 }
 # score calls of the seeded config's rescore mode; rescoring every live entry

@@ -21,6 +21,7 @@ from netsample.graph import (
     induced_subgraph,
     load_edge_list,
     load_labels,
+    node_ids,
     save_edge_list,
 )
 from netsample.samplers.baselines import sample_random_walk
@@ -761,7 +762,7 @@ def test_induced_subgraph_validation(rng):
     with pytest.raises(ValidationError):
         induced_subgraph(g, [0, 99])
     for bad in ([0.5, 1], ["a"], [True], [0, None]):
-        with pytest.raises(ValidationError, match="node ids must be integers"):
+        with pytest.raises(ValidationError, match="^node id must be a 1-D array of integer node ids"):
             induced_subgraph(g, bad)
     sub, mapping = induced_subgraph(g, np.array([3, 1], dtype=np.uint8))
     assert mapping.sub_to_full.tolist() == [1, 3]
@@ -770,7 +771,27 @@ def test_induced_subgraph_validation(rng):
 def test_node_mapping():
     m = NodeMapping(sub_to_full=np.array([5, 9, 11]))
     assert list(m.to_full([2, 0])) == [11, 5]
+    assert list(m.to_full(v for v in (1,))) == [9]
     assert len(m) == 3
+    for bad, message in [
+        ([-1], "^subgraph id -1 not in 0..2$"),
+        ([3], "^subgraph id 3 not in 0..2$"),
+        ([1.5], "^subgraph id must be a 1-D array of integer node ids"),
+        (["a"], "^subgraph id must be a 1-D array of integer node ids"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            m.to_full(bad)
+
+
+def test_node_ids_checks_type_shape_and_range():
+    got = node_ids("node id", np.array([2, 0], dtype=np.uint8), 3)
+    assert got.dtype == np.int64 and got.tolist() == [2, 0]
+    assert node_ids("node id", {1}, 3).tolist() == [1]
+    assert node_ids("node id", [], 0).dtype == np.int64
+    with pytest.raises(ValidationError, match=r"^node id 5 not in 0\.\.2$"):
+        node_ids("node id", [0, 5, -1], 3)
+    with pytest.raises(ValidationError, match=r"^node id must be a 1-D array of integer node ids, got \[\[0\], \[1, 2\]\]"):
+        node_ids("node id", [[0], [1, 2]], 3)
 
 
 def test_partition_with_integer_labels():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from netsample.errors import (
     DanglingCandidateError,
+    ParseError,
     PartialSampleError,
     ValidationError,
 )
@@ -51,6 +52,7 @@ from conftest import (
     reference_walk_until_new,
     small_graphs,
 )
+from test_golden import TRAP_EDGES
 from test_selectors import _outcome
 
 
@@ -149,6 +151,19 @@ def test_sample_result_round_trip():
         SampleResult(nodes=[1, 1], tags=["a", "b"])
     with pytest.raises(ValidationError):
         SampleResult(nodes=[1, 2], tags=["a"])
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("garbage", ParseError, "^<input>:1: not JSON: "),
+        ('{"nodes": [1]}', ValidationError, r"^sample result: missing key\(s\) \['tags'\]"),
+        ("[]", ValidationError, "^sample result must be a mapping"),
+    ],
+)
+def test_sample_result_from_json_names_a_bad_document(text, error, message):
+    with pytest.raises(error, match=message):
+        SampleResult.from_json(text)
 
 
 def test_leaderboard_semantics():
@@ -805,3 +820,14 @@ def test_output_does_not_depend_on_n(name, directed):
         cfg = SamplerConfig(20, seed_nodes=(seed_node,), rng_seed=rng_seed, exploration_p=p)
         want = _outcome_and_reads(SAMPLERS[name], g, cfg)
         assert _outcome_and_reads(SAMPLERS[name], padded, cfg) == want
+
+
+def test_partial_and_full_samples_carry_the_same_counter_keys():
+    g = Graph.from_edges(9, TRAP_EDGES, directed=True)
+    for name, sampler in sorted(SAMPLERS.items()):
+        full = sampler(g, SamplerConfig(target_size=3, rng_seed=1, seed_nodes=(0,)))
+        if name == "rn":
+            continue  # it draws nodes without replacement, so it never ends partial
+        with pytest.raises(PartialSampleError) as info:
+            sampler(g, SamplerConfig(target_size=8, rng_seed=1, seed_nodes=(0,)))
+        assert info.value.counters.keys() == full.counters.keys(), name
