@@ -119,10 +119,20 @@ def _edge_column(name, values, what, kinds) -> np.ndarray:
 
 def node_ids(name: str, ids, n: int) -> np.ndarray:
     """``ids``, any iterable of integers, as an int64 array in ``0..n-1``;
-    anything else is a ``ValidationError`` that names ``name``."""
+    anything else, ``str`` and ``bytes`` too, is a ``ValidationError`` that
+    names ``name``."""
+    what = "a 1-D array of integer node ids"
+    require(name, ids, what, not isinstance(ids, (str, bytes, bytearray)))
     if isinstance(ids, Iterable) and not isinstance(ids, np.ndarray):
         ids = list(ids)  # a generator or a set has no array view
-    a = _edge_column(name, ids, "integer node ids", "iu")
+    a = _edge_column(name, ids, "integer node ids", "iuO")
+    if a.dtype == object:
+        # numpy keeps a list of ints as objects when one is beyond 64 bits
+        require(name, a, what, all(map(is_integer, a)))
+        bad = [v for v in a.tolist() if not 0 <= v < n]
+        if bad:
+            raise ValidationError(f"{name} {bad[0]} not in 0..{n - 1}")
+        a = a.astype(np.int64)
     if a.size and (a.min() < 0 or a.max() >= n):
         bad = a[(a < 0) | (a >= n)][0]
         raise ValidationError(f"{name} {bad} not in 0..{n - 1}")
@@ -516,45 +526,70 @@ def save_edge_list(g: Graph, path, mapping: NodeMapping | None = None) -> None:
     if not g.directed:
         keep = src <= dst
         src, dst, w = src[keep], dst[keep], w[keep]
-    if mapping is not None:
+    if mapping is None:
+        ids = np.arange(g.n)
+    else:
         ids = np.asarray(mapping.sub_to_full)
         if ids.dtype.kind not in "iu" or ids.shape != (g.n,):
             raise ValidationError(
                 f"mapping must hold {g.n} integer ids, got a {ids.dtype} array of shape {ids.shape}"
             )
-        src, dst = ids[src], ids[dst]
     with open(path, "wb") as fh:
+        if not src.size:
+            return
+        text = _id_text(ids)
+        width = text.itemsize
+        # one row matrix for every block: the text of a, a space, the text
+        # of b and a newline, with zero bytes left of each number
+        rows = np.zeros((min(src.size, _WRITE_BLOCK), 2 * width + 2), dtype=np.uint8)
+        rows[:, width] = ord(" ")
+        rows[:, -1] = ord("\n")
         # format a block of rows per write, so memory stays flat in the edge count
         for lo in range(0, src.size, _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
-            fh.write(_format_rows(src[block], dst[block], w[block]))
+            fh.write(_format_rows(text, rows, src[block], dst[block], w[block]))
 
 
-def _format_rows(src, dst, w) -> bytes:
-    """The lines ``f"{a} {b}\\n"``, or ``f"{a} {b} {w!r}\\n"`` where ``w != 1.0``.
+def _id_text(ids) -> np.ndarray:
+    """Each of the non-empty integer ``ids`` as one ``V{width}`` item: its
+    ASCII decimal, right-aligned in the widest id's width, with zero bytes
+    left of the number.
 
-    Each row is laid out in a ``uint8`` matrix: the digits of ``a``, a space,
-    the digits of ``b``, the weight text and a newline. Zero bytes pad each
-    field, so dropping them leaves the text.
+    The table is built one ``_WRITE_BLOCK`` of ids at a time, so that only
+    its ``width`` bytes per id outlive a block.
     """
-    k = src.size
-    cols = [_decimal(src), np.full((k, 1), ord(" "), np.uint8), _decimal(dst)]
+    width = max(len(str(int(ids.min()))), len(str(int(ids.max()))))
+    table = np.empty((ids.size, width), dtype=np.uint8)
+    for lo in range(0, ids.size, _WRITE_BLOCK):
+        table[lo : lo + _WRITE_BLOCK] = _decimal(ids[lo : lo + _WRITE_BLOCK], width)
+    return table.view(f"V{width}").ravel()
+
+
+def _format_rows(text, rows, src, dst, w) -> bytes:
+    """The lines ``f"{a} {b}\\n"``, or ``f"{a} {b} {w!r}\\n"`` where ``w != 1.0``,
+    with ``a`` and ``b`` the ``text`` items of ``src`` and ``dst``.
+
+    ``rows`` is ``save_edge_list``'s row matrix; its id columns are
+    overwritten. Zero bytes pad each field, so dropping them leaves the text.
+    """
+    k, width = src.size, text.itemsize
+    rows = rows[:k]
+    rows[:, :width].view(text.dtype)[:, 0] = text.take(src)
+    rows[:, width + 1 : -1].view(text.dtype)[:, 0] = text.take(dst)
     odd = np.flatnonzero(w != 1.0)
     if odd.size:
         # repr is the shortest text that reads back as the same float
-        text = np.array([repr(x) for x in w[odd].tolist()], dtype="S")
-        weight = np.zeros((k, 1 + text.itemsize), dtype=np.uint8)
+        weights = np.array([repr(x) for x in w[odd].tolist()], dtype="S")
+        weight = np.zeros((k, 1 + weights.itemsize), dtype=np.uint8)
         weight[odd, 0] = ord(" ")
-        weight[odd, 1:] = text.view(np.uint8).reshape(odd.size, -1)
-        cols.append(weight)
-    cols.append(np.full((k, 1), ord("\n"), np.uint8))
-    rows = np.hstack(cols)
-    return rows[rows != 0].tobytes()
+        weight[odd, 1:] = weights.view(np.uint8).reshape(odd.size, -1)
+        rows = np.hstack([rows[:, :-1], weight, rows[:, -1:]])
+    return rows.tobytes().replace(b"\0", b"")
 
 
-def _decimal(ids) -> np.ndarray:
+def _decimal(ids, width) -> np.ndarray:
     """Non-empty integer ``ids`` as right-aligned ASCII decimal, one per row of
-    a ``uint8`` matrix, with zero bytes left of each number."""
+    a ``width``-column ``uint8`` matrix, with zero bytes left of each number."""
     neg = ids < 0
     # the magnitude by two's complement in uint64, exact for -2**63 as well
     mag = ids.astype(np.int64).view(np.uint64)
@@ -562,9 +597,8 @@ def _decimal(ids) -> np.ndarray:
     rows = np.flatnonzero(neg)
     # a minus sign goes just left of the leading digit
     sign_col = -2 - np.searchsorted(_POW10, mag[rows], side="right")
-    top = len(str(mag.max()))
-    out = np.zeros((ids.size, top + (rows.size > 0)), dtype=np.uint8)
-    for p in range(1, top + 1):
+    out = np.zeros((ids.size, width), dtype=np.uint8)
+    for p in range(1, len(str(mag.max())) + 1):
         q = mag // 10
         digit = mag - q * 10 + ord("0")
         if p > 1:

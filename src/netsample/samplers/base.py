@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ParseError, PartialSampleError, ValidationError, from_mapping, is_integer, is_real, require
+from ..errors import ParseError, PartialSampleError, ValidationError, checked_keys, is_integer, is_real, require
 from ..graph import csr_rows, node_ids
 
 # the walker jumps back into the sample this often; the protocol never
@@ -133,7 +133,16 @@ class SampleResult:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not JSON: {exc.msg}", line_no=exc.lineno) from None
-        return from_mapping(cls, d, "sample result")
+        d = checked_keys(d, "sample result", ("nodes", "tags"), ("counters", "config"))
+        nodes, tags = d["nodes"], d["tags"]
+        ok = isinstance(nodes, list) and all(map(is_integer, nodes))
+        require("sample result nodes", nodes, "a list of integers", ok)
+        ok = isinstance(tags, list) and all(isinstance(t, str) for t in tags)
+        require("sample result tags", tags, "a list of strings", ok)
+        for key in ("counters", "config"):
+            if key in d:
+                require(f"sample result {key}", d[key], "a mapping", isinstance(d[key], dict))
+        return cls(**d)
 
     def save(self, json_path, nodes_path=None) -> None:
         with open(json_path, "w", encoding="utf-8") as fh:

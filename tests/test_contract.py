@@ -22,7 +22,7 @@ import pytest
 
 from netsample import errors
 from netsample.centrality import betweenness, pivot_sources
-from netsample.errors import NetsampleError
+from netsample.errors import NetsampleError, ValidationError
 from netsample.experiments import ExperimentSpec, run_experiment
 from netsample.graph import Graph, LabeledPartition, NodeMapping, induced_subgraph
 from netsample.metrics import CategoricalDistribution, kendall_tau, kl_divergence, label_histogram
@@ -180,6 +180,18 @@ def test_node_id_calls_work_or_raise_errors_that_name_the_argument():
         except Exception as exc:  # noqa: BLE001 - any other exception breaks the contract
             bad.append(f"{case}: {type(exc).__name__}: {exc}")
     assert bad == []
+    # an integer beyond 64 bits is out of range; str and bytes are not read as ids
+    exact = [
+        ([2**70], f"{2**70} not in 0..2$"),
+        ([-(2**70)], f"{-(2**70)} not in 0..2$"),
+        (b"\x01", "must be a "),
+        ("1", "must be a "),
+    ]
+    for (name, pattern, call), (ids, message) in itertools.product(calls, exact):
+        # label_of takes one id
+        value = ids[-1] if name == "label_of" and isinstance(ids, list) else ids
+        with pytest.raises(ValidationError, match=message):
+            call(value)
 
 
 def test_every_error_survives_pickling():

@@ -439,6 +439,17 @@ def writer_case(kind, block, rng):
         g = Graph(n, pairs // n, pairs % n, w, True)
         assert g.num_edges == 2 * block
         return g, [None]
+    if kind == "sparse_blocks":
+        # more nodes than edges, and id blocks of the write block's size whose
+        # digit counts and signs differ: short ids of both signs, then the
+        # widest ids (16 digits and a minus sign), then 16-digit positives
+        n = 2 * block + 3
+        ids = np.concatenate(
+            [np.arange(block) - block // 2, np.arange(block) - 10**15, 10**15 - np.arange(3)]
+        )
+        src = rng.choice(n, n // 2)
+        g = Graph(n, src, rng.choice(n, src.size), rng.choice([1.0, 0.25], src.size), True)
+        return g, [None, NodeMapping(sub_to_full=ids)]
     if kind == "undirected":
         g = random_undirected(50, 0.1, rng, weighted=True)
     else:
@@ -453,7 +464,16 @@ def writer_case(kind, block, rng):
 
 @pytest.mark.parametrize(
     "kind",
-    ["weighted", "unit", "undirected", "extreme_ids", "edge_weights", "no_edges", "block_multiple"],
+    [
+        "weighted",
+        "unit",
+        "undirected",
+        "extreme_ids",
+        "edge_weights",
+        "no_edges",
+        "block_multiple",
+        "sparse_blocks",
+    ],
 )
 @pytest.mark.parametrize("block", [7, graph._WRITE_BLOCK])
 def test_save_edge_list_bytes_match_reference(tmp_path, rng, monkeypatch, kind, block):

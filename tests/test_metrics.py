@@ -200,8 +200,8 @@ def test_label_histogram_matches_per_node_loop(data):
 
 @pytest.mark.parametrize(
     "bad, message",
-    [(v, f"node id {v} not in 0..5") for v in (-1, 6, 2**63 - 1)]
-    + [(v, "node id must be a 1-D array of integer node ids") for v in (1.0, True, 2**70)],
+    [(v, f"node id {v} not in 0..5") for v in (-1, 6, 2**63 - 1, 2**70)]
+    + [(v, "node id must be a 1-D array of integer node ids") for v in (1.0, True)],
 )
 def test_partition_rejects_node_ids_outside_the_graph(bad, message):
     part = LabeledPartition.from_labels(6, [0, 5], ["a", "b"])

@@ -159,6 +159,15 @@ def test_sample_result_round_trip():
         ("garbage", ParseError, "^<input>:1: not JSON: "),
         ('{"nodes": [1]}', ValidationError, r"^sample result: missing key\(s\) \['tags'\]"),
         ("[]", ValidationError, "^sample result must be a mapping"),
+        ('{"nodes": 5, "tags": []}', ValidationError, "^sample result nodes must be a list of integers"),
+        ('{"nodes": [[1]], "tags": ["a"]}', ValidationError, "^sample result nodes must be"),
+        ('{"nodes": [true], "tags": ["a"]}', ValidationError, "^sample result nodes must be"),
+        ('{"nodes": [1.0], "tags": ["a"]}', ValidationError, "^sample result nodes must be"),
+        ('{"nodes": [1], "tags": "a"}', ValidationError, "^sample result tags must be a list of strings"),
+        ('{"nodes": [1], "tags": [2]}', ValidationError, "^sample result tags must be"),
+        ('{"nodes": [1], "tags": ["a"], "counters": 3}', ValidationError, "^sample result counters must be a mapping"),
+        ('{"nodes": [1], "tags": ["a"], "config": []}', ValidationError, "^sample result config must be a mapping"),
+        ('{"nodes": [1, 1], "tags": ["a", "b"]}', ValidationError, "^sampled nodes must be distinct"),
     ],
 )
 def test_sample_result_from_json_names_a_bad_document(text, error, message):
