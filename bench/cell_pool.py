@@ -2,7 +2,7 @@
 
 ``run_experiment`` runs a spec's cells on one process per CPU the process
 may run on: the calling process and forked workers claim the cells in cell
-order from one pipe of cell indices. With one CPU it forks nothing. This script
+order from one shared counter. With one CPU it forks nothing. This script
 runs perfbench's ``experiment`` and ``community`` specs (imported from
 ``perfbench/workloads.py``) in a fresh child process per setting: first with
 the child's CPU affinity set to ``{0}``, then to every CPU this process may

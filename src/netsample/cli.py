@@ -62,6 +62,25 @@ def _load_graph(edge_list, sbm, directed):
     return g, labels
 
 
+def _reject_unused(names, reason):
+    """A ``UsageError`` naming the first option of ``names`` given on the
+    command line, which the chosen command ignores for ``reason``."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in names and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{'/'.join(param.opts + param.secondary_opts)} {reason}")
+
+
+# the options of ``centrality`` that each measure reads
+MEASURE_OPTIONS = {
+    "pagerank": {"gamma", "tol", "max_iter"},
+    "eigenvector": {"tol", "max_iter"},
+    "springrank": {"reg"},
+    "betweenness": {"exact", "pivots", "pivot_seed"},
+    "indegree": set(),
+}
+
+
 @click.group()
 @click.version_option(version=__version__)
 def cli():
@@ -91,6 +110,8 @@ def cli():
 def sample(edge_list, sbm, directed, sampler, size, fraction, output, **knobs):
     """Run one sampler and write the node list plus JSON metadata."""
     # knobs holds one value per SamplerConfig field but target_size
+    if sampler != "node2vec":
+        _reject_unused({"node2vec_p", "node2vec_q"}, f"does not apply to --sampler {sampler}")
     g, _ = _load_graph(edge_list, sbm, directed)
     if (size is None) == (fraction is None):
         raise click.UsageError("provide exactly one of --size or --fraction")
@@ -119,6 +140,10 @@ def centrality(
     edge_list, sbm, directed, measure, gamma, tol, max_iter, reg, exact, pivots, pivot_seed, output
 ):
     """Compute one centrality measure over the whole graph; write CSV."""
+    unused = set().union(*MEASURE_OPTIONS.values()) - MEASURE_OPTIONS[measure]
+    _reject_unused(unused, f"does not apply to --measure {measure}")
+    if measure == "betweenness" and exact:
+        _reject_unused({"pivots", "pivot_seed"}, "applies only to --approximate betweenness")
     g, _ = _load_graph(edge_list, sbm, directed)
     params = {
         "pagerank": {"gamma": gamma, "tol": tol, "max_iter": max_iter},

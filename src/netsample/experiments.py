@@ -18,7 +18,6 @@ import json
 import math
 import multiprocessing
 import os
-import select
 import traceback
 from collections.abc import Callable, Mapping
 from concurrent.futures.process import BrokenProcessPool
@@ -520,10 +519,6 @@ def _cell_workers(cells: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), cells))
 
 
-_TOKEN_BYTES = 4
-_MAX_TOKENS = 16_384  # 64 KiB of tokens, the default pipe buffer
-
-
 class _CellTraceback(Exception):
     """The traceback of a cell that raised in a forked worker."""
 
@@ -531,38 +526,30 @@ class _CellTraceback(Exception):
         return self.args[0]
 
 
-def _claim_cells(study: _Study, cells: list, tokens: int, run: int) -> tuple[dict, tuple | None]:
-    """Run the cells named by the tokens read from the pipe ``tokens`` until
-    it is empty: token ``k`` names cells ``k * run`` up to ``(k + 1) * run``.
+def _claim_cells(study: _Study, cells: list, claimed) -> tuple[dict, tuple | None]:
+    """Run the cells claimed in cell order from the shared counter
+    ``claimed`` until none is left.
 
     Returns ``_run_cell`` of each cell run, by cell index, and the index, the
     exception and the traceback text of the cell that raised, or None. A
-    cell that raises drains the pipe, so no process starts a new cell.
+    cell that raises claims every cell left, so no process starts a new one.
     """
     results = {}
-    while token := os.read(tokens, _TOKEN_BYTES):
-        k = int.from_bytes(token, "little")
-        for i in range(k * run, min((k + 1) * run, len(cells))):
-            try:
-                results[i] = _run_cell(study, cells[i])
-            except Exception as exc:
-                while os.read(tokens, 1 << 16):
-                    pass
-                return results, (i, exc, traceback.format_exc())
-    return results, None
+    while True:
+        with claimed.get_lock():
+            i = claimed.value
+            claimed.value = i + 1
+        if i >= len(cells):
+            return results, None
+        try:
+            results[i] = _run_cell(study, cells[i])
+        except Exception as exc:
+            claimed.value = len(cells)
+            return results, (i, exc, traceback.format_exc())
 
 
-def _child(study: _Study, cells: list, tokens: int, run: int, conn) -> None:
-    conn.send(_claim_cells(study, cells, tokens, run))
-
-
-def _token_limit(fd: int) -> int:
-    """The most tokens the empty pipe ``fd`` holds: its buffer on Linux,
-    ``PIPE_BUF`` elsewhere, and at most ``_MAX_TOKENS``."""
-    import fcntl  # POSIX, as fork is
-
-    size = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) if hasattr(fcntl, "F_GETPIPE_SZ") else select.PIPE_BUF
-    return min(_MAX_TOKENS, size // _TOKEN_BYTES)
+def _child(study: _Study, cells: list, claimed, conn) -> None:
+    conn.send(_claim_cells(study, cells, claimed))
 
 
 def _map_cells(study: _Study, cells: list) -> list:
@@ -570,31 +557,28 @@ def _map_cells(study: _Study, cells: list) -> list:
 
     With more than one worker, this process and ``workers - 1`` forked
     children, which inherit the study rather than unpickle it, claim the
-    cells in cell order from one pipe of cell indices. Each child sends its
-    results in one message once the pipe is empty. The first failing cell
-    in cell order raises its own exception, as in process: the cells
-    claimed before it finish, and none starts after it. A child that exits
-    without its message raises ``BrokenProcessPool``. Every child has been
-    stopped and joined on return.
+    cells in cell order from one shared counter, so a process on a slow or
+    busy CPU runs fewer cells. Each child sends its results in one message
+    once every cell is claimed. The first failing cell in cell order raises
+    its own exception, as in process: the cells claimed before it finish,
+    and none starts after it. A child that exits without its message raises
+    ``BrokenProcessPool``. Every child has been stopped and joined on
+    return.
     """
     workers = _cell_workers(len(cells))
     if workers == 1:
         return [_run_cell(study, cell) for cell in cells]
     ctx = multiprocessing.get_context("fork")
-    tokens, write_end = os.pipe()
+    claimed = ctx.Value("q", 0)
     children = []
     try:
-        # all the tokens fit in the pipe, so the write returns before any read
-        with open(write_end, "wb") as fh:
-            run = math.ceil(len(cells) / _token_limit(write_end))
-            fh.write(np.arange(math.ceil(len(cells) / run), dtype="<u4").tobytes())
         for _ in range(workers - 1):
             conn, child_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child, args=(study, cells, tokens, run, child_end), daemon=True)
+            proc = ctx.Process(target=_child, args=(study, cells, claimed, child_end), daemon=True)
             proc.start()
             child_end.close()  # so the pipe of a child that dies reads end of file
             children.append((proc, conn))
-        messages = [_claim_cells(study, cells, tokens, run)]
+        messages = [_claim_cells(study, cells, claimed)]
         for proc, conn in children:
             try:
                 messages.append(conn.recv())
@@ -608,7 +592,6 @@ def _map_cells(study: _Study, cells: list) -> list:
             proc.terminate()
         raise
     finally:
-        os.close(tokens)
         for proc, conn in children:
             proc.join()
             conn.close()
@@ -664,18 +647,26 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 # -- report merging ---------------------------------------------------
 
 
-# each parsed raw.csv column: its parser and what a cell must be
+# each parsed raw.csv column: its parser and what its text must be, and the
+# check of the parsed value and what that value must be, as a run writes it
 _RAW_CELLS = {
-    "fraction": (float, "a number"),
-    "repetition": (int, "an integer"),
-    "rng_seed": (int, "an integer"),
-    "value": (lambda text: float(text) if text else None, "a number or empty"),
+    "fraction": (float, "a number", lambda f: 0 < f <= 1, "in (0, 1]"),
+    "repetition": (int, "an integer", lambda i: i >= 0, ">= 0"),
+    "rng_seed": (int, "an integer", lambda i: i >= 0, ">= 0"),
+    "value": (
+        lambda text: float(text) if text else None,
+        "a number or empty",
+        lambda v: v is None or math.isfinite(v),
+        "finite or empty",
+    ),
 }
 
 
 def read_raw_csv(path) -> list:
     """The rows of a ``raw.csv``; a bad header, row or cell is a
-    ``ValidationError`` that names the file and the line."""
+    ``ValidationError`` that names the file and the line. A cell must hold
+    what a run can write: a finite value or none, a fraction in (0, 1], and
+    a repetition and a sampler seed >= 0."""
     rows = []
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
@@ -686,12 +677,14 @@ def read_raw_csv(path) -> list:
             message = f"expected {len(RAW_HEADER)} fields, got {len(rec)}"
             raise ParseError(message, path, reader.line_num)
         row = dict(zip(RAW_HEADER, rec))
-        for column, (parse, what) in _RAW_CELLS.items():
+        for column, (parse, what, ok, bound) in _RAW_CELLS.items():
+            text = row[column]
             try:
-                row[column] = parse(row[column])
+                row[column] = parse(text)
             except ValueError:
-                message = f"{column} must be {what}, got {row[column]!r}"
-                raise ParseError(message, path, reader.line_num) from None
+                raise ParseError(f"{column} must be {what}, got {text!r}", path, reader.line_num) from None
+            if not ok(row[column]):
+                raise ParseError(f"{column} must be {bound}, got {text!r}", path, reader.line_num)
         rows.append(row)
     return rows
 

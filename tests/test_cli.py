@@ -311,19 +311,61 @@ def test_sample_passes_every_knob_to_the_config(tmp_path):
         "sample", "--edge-list", str(edges), "--sampler", "tcec", "--size", "3",
         "--seed-node", "1", "--rng-seed", "5", "--alpha", "0.3", "--exploration-p", "0.2",
         "--leaderboard-capacity", "7", "--rw-init-fraction", "0.4", "--damping", "0.8",
-        "--rescore-on-pop", "--p", "1.5", "--q", "0.7", "--output", str(out),
+        "--rescore-on-pop", "--output", str(out),
     ])
     assert r.exit_code == 0, r.output
     config = json.loads((tmp_path / "s.json").read_text())["config"]
     assert {k: config[k] for k in (
         "target_size", "seed_nodes", "rng_seed", "alpha", "exploration_p",
         "leaderboard_capacity", "rw_init_fraction", "damping", "rescore_on_pop",
-        "node2vec_p", "node2vec_q",
     )} == {
         "target_size": 3, "seed_nodes": [1], "rng_seed": 5, "alpha": 0.3, "exploration_p": 0.2,
         "leaderboard_capacity": 7, "rw_init_fraction": 0.4, "damping": 0.8,
-        "rescore_on_pop": True, "node2vec_p": 1.5, "node2vec_q": 0.7,
+        "rescore_on_pop": True,
     }
+
+
+def test_sample_passes_the_node2vec_knobs_to_the_config(tmp_path):
+    edges = write_edge_list(tmp_path)
+    r = CliRunner().invoke(cli, [
+        "sample", "--edge-list", str(edges), "--sampler", "node2vec", "--size", "3",
+        "--p", "1.5", "--q", "0.7", "--output", str(tmp_path / "s"),
+    ])
+    assert r.exit_code == 0, r.output
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert (config["node2vec_p"], config["node2vec_q"]) == (1.5, 0.7)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["centrality", "--measure", "springrank", "--tol", "1e-3", "--max-iter", "2"],
+         "--tol does not apply to --measure springrank"),
+        (["centrality", "--measure", "springrank", "--max-iter", "2"],
+         "--max-iter does not apply to --measure springrank"),
+        (["centrality", "--measure", "indegree", "--gamma", "0.5", "--pivots", "3"],
+         "--gamma does not apply to --measure indegree"),
+        (["centrality", "--measure", "pagerank", "--reg", "5", "--approximate"],
+         "--reg does not apply to --measure pagerank"),
+        (["centrality", "--measure", "eigenvector", "--approximate"],
+         "--exact/--approximate does not apply to --measure eigenvector"),
+        (["centrality", "--measure", "betweenness", "--pivots", "3", "--pivot-seed", "9"],
+         "--pivots applies only to --approximate betweenness"),
+        (["centrality", "--measure", "betweenness", "--exact", "--pivot-seed", "9"],
+         "--pivot-seed applies only to --approximate betweenness"),
+        (["sample", "--sampler", "rw", "--size", "2", "--p", "7", "--q", "9"],
+         "--p does not apply to --sampler rw"),
+        (["sample", "--sampler", "tcec", "--size", "2", "--q", "9"],
+         "--q does not apply to --sampler tcec"),
+    ],
+)
+def test_an_option_the_command_ignores_is_a_usage_error(tmp_path, args, message):
+    edges = write_edge_list(tmp_path)
+    out = tmp_path / "out"
+    r = CliRunner().invoke(cli, [*args, "--edge-list", str(edges), "--output", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"Error: {message}" in r.output
+    assert list(tmp_path.iterdir()) == [edges]
 
 
 GOOD_SPEC = {
@@ -448,6 +490,14 @@ def test_bad_input_exits_with_one_line_message(tmp_path, kind, case, message):
         ("toy,rw,0.1,indegree,0,-,0.5", "raw.csv:3: rng_seed must be an integer, got '-'"),
         ("toy,rw,0.1,indegree,0,1,high", "raw.csv:3: value must be a number or empty, got 'high'"),
         ("toy,rw,0.1", "raw.csv:3: expected 7 fields, got 3"),
+        ("toy,rw,0.1,indegree,0,1,nan", "raw.csv:3: value must be finite or empty, got 'nan'"),
+        ("toy,rw,0.1,indegree,0,1,inf", "raw.csv:3: value must be finite or empty, got 'inf'"),
+        ("toy,rw,0.1,indegree,0,1,-1e999", "raw.csv:3: value must be finite or empty, got '-1e999'"),
+        ("toy,rw,nan,indegree,0,1,0.5", "raw.csv:3: fraction must be in (0, 1], got 'nan'"),
+        ("toy,rw,-3,indegree,0,1,0.5", "raw.csv:3: fraction must be in (0, 1], got '-3'"),
+        ("toy,rw,0,indegree,0,1,0.5", "raw.csv:3: fraction must be in (0, 1], got '0'"),
+        ("toy,rw,0.1,indegree,-1,1,0.5", "raw.csv:3: repetition must be >= 0, got '-1'"),
+        ("toy,rw,0.1,indegree,0,-2,0.5", "raw.csv:3: rng_seed must be >= 0, got '-2'"),
     ],
 )
 def test_report_names_a_bad_raw_csv_cell(tmp_path, row, message):

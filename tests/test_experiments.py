@@ -601,17 +601,16 @@ def test_pool_and_in_process_runs_write_the_same_bytes(kind, tmp_path, monkeypat
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("workers, max_tokens", [(3, None), (2, 5)])
+# an explicit id, so that runs of this case keep one name
+@pytest.mark.parametrize("workers", [pytest.param(3, id="3-None")])
 def test_more_processes_than_cpus_and_runs_of_cells_write_the_same_bytes(
-    workers, max_tokens, tmp_path, monkeypatch
+    workers, tmp_path, monkeypatch
 ):
-    # 3 processes on 2 CPUs; 5 tokens for 36 cells, so each names a run of 8
+    # 3 processes on 2 CPUs claim the 36 cells
     monkeypatch.delenv("NETSAMPLE_CACHE_DIR", raising=False)
     _workers(monkeypatch, 1)
     in_process = _golden_outputs("community", tmp_path / "1")
     _workers(monkeypatch, workers)
-    if max_tokens is not None:
-        monkeypatch.setattr(experiments, "_MAX_TOKENS", max_tokens)
     assert _golden_outputs("community", tmp_path / "pool") == in_process
 
 
@@ -655,7 +654,7 @@ def _fail_at_cells(monkeypatch, spec, fail_at, fail=None):
 def test_the_first_failing_cell_raises_on_both_paths(fail_at, tmp_path, monkeypatch):
     spec = _rn_spec(tmp_path)
     _fail_at_cells(monkeypatch, spec, fail_at)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         _workers(monkeypatch, workers)
         with pytest.raises(CellFailed) as info:
             run_experiment(spec)
@@ -673,6 +672,18 @@ def _in_child(parent_pid, child, parent):
 def _wait_for_the_child():
     for proc in multiprocessing.active_children():
         proc.join(10)
+
+
+def test_a_slow_worker_leaves_its_share_of_the_cells_to_the_others(tmp_path, monkeypatch):
+    # each cell takes 0.2 s in the child and no time in the calling process,
+    # which so claims at least 6 of the 8 cells, in cell order
+    spec = _rn_spec(tmp_path)
+    in_parent = []
+    record = _in_child(os.getpid(), lambda k: time.sleep(0.2), in_parent.append)
+    _fail_at_cells(monkeypatch, spec, set(range(8)), record)
+    _workers(monkeypatch, 2)
+    assert len(run_experiment(spec).rows) == 8 * len(spec.measures)
+    assert len(in_parent) >= 6 and in_parent == sorted(in_parent)
 
 
 def test_a_dead_worker_breaks_the_pool_instead_of_hanging(tmp_path, monkeypatch):
