@@ -48,19 +48,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import CentralityComparison, Community  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+from netsample import SbmSpec, generate_sbm  # noqa: E402
+from netsample.experiments import ExperimentSpec, run_experiment  # noqa: E402
+
 SPECS = {"experiment": CentralityComparison.SPEC, "community": Community.SPEC}
 
 
 def run_child(workload: str, repeats: int) -> dict:
     """Run one spec ``repeats`` times in this process, as set up by ``main``."""
-    import numpy as np
-
-    import netsample
-    from netsample.experiments import ExperimentSpec, run_experiment
-
     doc = json.loads(json.dumps(SPECS[workload]))
     doc["input"]["sbm"]["rng_seed"] = 0
-    sbm = netsample.SbmSpec(**doc["input"]["sbm"])
+    sbm = SbmSpec(**doc["input"]["sbm"])
     times, faults, digests = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         for rep in range(repeats):
@@ -71,7 +71,7 @@ def run_child(workload: str, repeats: int) -> dict:
             result = run_experiment(spec)
             times.append(time.perf_counter() - t0)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            netsample.generate_sbm(sbm)
+            generate_sbm(sbm)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             result.save(run_dir / "out")
             digests.append(hashlib.sha256((run_dir / "out" / "raw.csv").read_bytes()).hexdigest())

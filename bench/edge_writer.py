@@ -15,9 +15,10 @@ between pairs. A child writes each graph ``--repeats`` times into a
 temporary file and reports the wall time of every call and the SHA-256 of
 the file; the digests must agree between the sides.
 
-Run from the root of a checkout:
+A child imports ``netsample`` from its side's ``src``. Run from the root of
+a checkout, with that checkout's ``src`` on the path:
 
-    python bench/edge_writer.py --parent PARENT_DIR --change . --out edge_writer.json
+    PYTHONPATH=src python bench/edge_writer.py --parent PARENT_DIR --change . --out edge_writer.json
 """
 
 from __future__ import annotations
@@ -34,33 +35,29 @@ import tempfile
 import time
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import Crawl  # noqa: E402
+
+from netsample import Graph, NodeMapping, SbmSpec, generate_sbm, save_edge_list  # noqa: E402
 
 
 def graphs():
     """The graphs to write, as ``name -> (graph, mapping)``."""
-    import numpy as np
-
-    import netsample
-
-    sys.path.insert(0, str(PERFBENCH))
-    from workloads import Crawl
-
     rng = np.random.default_rng(0)
-    g, _ = netsample.generate_sbm(netsample.SbmSpec((Crawl.N,), Crawl.P_IN, 0.0, directed=True, rng_seed=0))
+    g, _ = generate_sbm(SbmSpec((Crawl.N,), Crawl.P_IN, 0.0, directed=True, rng_seed=0))
     ids = np.sort(rng.choice(10**12, g.n, replace=False))
     n, m = 10**6, 10**4
-    sparse = netsample.Graph(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), True)
+    sparse = Graph(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), True)
     return {
         "crawl": (g, None),
-        "crawl_mapped": (g, netsample.NodeMapping(sub_to_full=ids)),
+        "crawl_mapped": (g, NodeMapping(sub_to_full=ids)),
         "sparse": (sparse, None),
     }
 
 
 def run_child(repeats: int) -> dict:
-    import netsample
-
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.edges"
@@ -68,7 +65,7 @@ def run_child(repeats: int) -> dict:
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                netsample.save_edge_list(g, path, mapping)
+                save_edge_list(g, path, mapping)
                 times.append(time.perf_counter() - t0)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             out[name] = {"s": times, "median_s": statistics.median(times), "sha256": digest}

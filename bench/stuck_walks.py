@@ -37,7 +37,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import CentralityComparison  # noqa: E402
 
-import netsample  # noqa: E402
+from netsample import SAMPLERS, SamplerConfig, SbmSpec, generate_sbm  # noqa: E402
 from netsample.errors import PartialSampleError  # noqa: E402
 from netsample.experiments import ExperimentSpec, run_experiment  # noqa: E402
 
@@ -75,12 +75,12 @@ def time_experiment(rng_seed: int, base_seed: int, repeats: int, tmp: Path) -> d
 
 def time_stuck_rw() -> dict:
     sbm = dict(CentralityComparison.SPEC["input"]["sbm"], rng_seed=0)
-    g, _ = netsample.generate_sbm(netsample.SbmSpec(**sbm))
+    g, _ = generate_sbm(SbmSpec(**sbm))
     sink = int(np.flatnonzero(g.out_strength == 0)[0])
-    cfg = netsample.SamplerConfig(target_size=RW_SIZE, seed_nodes=(sink,))
+    cfg = SamplerConfig(target_size=RW_SIZE, seed_nodes=(sink,))
     t0 = time.perf_counter()
     try:
-        netsample.samplers.SAMPLERS["rw"](g, cfg)
+        SAMPLERS["rw"](g, cfg)
     except PartialSampleError as exc:
         seconds = time.perf_counter() - t0
         return {"seed_node": sink, "m": RW_SIZE, "seconds": seconds, "error": str(exc),

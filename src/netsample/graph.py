@@ -655,11 +655,14 @@ def csr_rows(indptr, rows):
     """Flat CSR positions of the lists of ``rows``, in row order, and the
     index in ``rows`` that owns each position."""
     start = indptr[rows]
-    cnt = indptr[rows + 1] - start
+    cnt = indptr[1:][rows]
+    cnt -= start
     owner = np.repeat(np.arange(rows.size), cnt)
+    # a row's list begins at start in the graph and at cumsum - cnt here
+    start -= cnt.cumsum()
+    start += cnt
     # in place, so that at most three position-sized arrays are alive
     pos = np.arange(owner.size)
-    pos -= np.repeat(np.cumsum(cnt) - cnt, cnt)
     pos += start[owner]
     return owner, pos
 

@@ -296,19 +296,31 @@ def start(g, cfg: SamplerConfig):
     return np.random.default_rng(cfg.rng_seed)
 
 
-def neighborhood(g, node: int) -> np.ndarray:
+def neighborhood(g, node: int, skip: np.ndarray | None = None) -> np.ndarray:
     """Distinct in- and out-neighbors of ``node`` in ascending order,
-    excluding ``node`` itself.
+    excluding ``node`` itself and, when ``skip`` is given, every node that
+    the boolean mask ``skip`` flags.
 
     An undirected graph's in-list equals its out-list, which is sorted and
     distinct already, so only a directed graph needs the merge: each list is
     distinct, so after one sort an id repeats at most once, next to itself.
+    The masked nodes leave each list before the merge, so it sorts only
+    what it returns.
     """
     out_idx, _ = g.out_neighbors(node)
     # only a self-loop puts ``node`` in its own lists
     if not g.directed:
-        return out_idx[out_idx != node] if g.has_self_loop else out_idx.copy()
-    both = np.concatenate((out_idx, g.in_neighbors(node)[0]))
+        if skip is None:
+            return out_idx[out_idx != node] if g.has_self_loop else out_idx.copy()
+        keep = ~skip[out_idx]
+        if g.has_self_loop:
+            keep &= out_idx != node
+        return out_idx[keep]
+    in_idx, _ = g.in_neighbors(node)
+    if skip is not None:
+        out_idx = out_idx[~skip[out_idx]]
+        in_idx = in_idx[~skip[in_idx]]
+    both = np.concatenate((out_idx, in_idx))
     both.sort()
     if g.has_self_loop:
         both = both[both != node]
@@ -410,17 +422,19 @@ def run_criterion_crawl(
     counters.update(scored_candidates=0, fallback_events=0, rw_steps=0)
     budget = STEP_BUDGET_FACTOR * m
     offered: list[int] = []  # the candidates of the latest admission, scored after it
+    offer, discard, draw = state.leaderboard.offer, state.leaderboard.discard, rng.random
+    explore_p = cfg.exploration_p
 
     def admit(node: int, tag: str) -> None:
         nonlocal offered
         state.add(node, tag)
-        state.leaderboard.discard(node)
+        discard(node)
         cands = on_admit(node)
-        if cfg.exploration_p < 1.0:
+        if explore_p < 1.0:
             # one draw per candidate, in candidate order
-            cands = cands[rng.random(cands.size) < cfg.exploration_p]
+            cands = cands[draw(cands.size) < explore_p]
         counters["scored_candidates"] += cands.size
-        offer, offered = state.leaderboard.offer, cands.tolist()
+        offered = cands.tolist()
         for cand in offered:
             offer(cand, score_fn(cand))
         if step_callback is not None:
@@ -448,7 +462,7 @@ def run_criterion_crawl(
             fresh = set(offered)
             for node in state.leaderboard.nodes():
                 if node not in fresh:
-                    state.leaderboard.offer(node, score_fn(node))
+                    offer(node, score_fn(node))
         node = state.leaderboard.pop_best()
         if node is not None:
             admit(node, "criterion")

@@ -91,13 +91,16 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     it brings into the closure, not a pass over the graph.
 
     The selection is lazy greedy: a gain can only shrink as the closure
-    grows, so each border node sits once in a heap keyed by ``(-gain,
-    node)`` with the gain it had when last evaluated, and the sample size at
-    that time. A top entry evaluated at the current size is exact and, as no
-    entry understates its gain, the exact argmax; an older top entry is
-    re-evaluated, by reading its maintained gain, and goes back. Counters:
-    ``border_peak`` is the largest border size and ``gain_evals`` the number
-    of gain evaluations (one per border entry pushed or re-evaluated).
+    grows, so each border node sits once in a heap with the gain it had
+    when last evaluated, and ``stamp`` maps it to the sample size at that
+    time. A heap entry is the one integer ``node - gain * n``, which sorts
+    as ``(-gain, node)`` does since ``0 <= node < n``, so the heap compares
+    plain ints and ``key % n`` gives the node back. A top entry evaluated
+    at the current size is exact and, as no entry understates its gain, the
+    exact argmax; an older top entry is re-evaluated, by reading its
+    maintained gain, and goes back. Counters: ``border_peak`` is the
+    largest border size and ``gain_evals`` the number of gain evaluations
+    (one per border entry pushed or re-evaluated).
     """
     n = g.n
     rng = start(g, cfg)
@@ -105,9 +108,11 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
     m = cfg.target_size
     closure = np.zeros(n, dtype=bool)  # S union N(S); the border is closure minus S
     gains = np.zeros(n, dtype=np.int64)  # |N(v) minus closure|, exact on the closure
-    heap: list[tuple[int, int, int]] = []  # (-gain, node, size at evaluation)
+    heap: list[int] = []  # node - gain * n
+    stamp: dict[int, int] = {}  # border node -> sample size at its evaluation
     state = SampleState.empty(n, counters={"border_peak": 0, "gain_evals": 0})
     counters = state.counters
+    gain = gains.item
 
     def close(new):
         """Add ``new``, distinct nodes outside the closure, to it. A
@@ -120,12 +125,13 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
 
     def admit(v):
         state.add(v, "xs")
-        nb = neighborhood(g, v)
-        fresh = nb[~closure[nb]]
+        fresh = neighborhood(g, v, closure)
         close(fresh)
+        k = state.k
+        for key in (fresh - gains[fresh] * n).tolist():
+            heapq.heappush(heap, key)
+        stamp.update(dict.fromkeys(fresh.tolist(), k))
         counters["gain_evals"] += fresh.size
-        for u, gain in zip(fresh.tolist(), gains[fresh].tolist()):
-            heapq.heappush(heap, (-gain, u, state.k))
         counters["border_peak"] = max(counters["border_peak"], len(heap))
 
     close(np.array([seed]))
@@ -134,11 +140,13 @@ def sample_expansion(g, cfg: SamplerConfig) -> SampleResult:
         if not heap:
             raise state.partial(f"expansion border exhausted at {state.k}/{m} nodes")
         k = state.k
-        while heap[0][2] != k:
-            v = heap[0][1]
-            counters["gain_evals"] += 1
-            heapq.heapreplace(heap, (-int(gains[v]), v, k))
-        admit(heapq.heappop(heap)[1])
+        evals = 0
+        while stamp[v := heap[0] % n] != k:
+            stamp[v] = k
+            evals += 1
+            heapq.heapreplace(heap, v - gain(v) * n)
+        counters["gain_evals"] += evals
+        admit(heapq.heappop(heap) % n)
     return state.result(cfg, "xs")
 
 

@@ -95,7 +95,6 @@ def sample_tcec(g, cfg: SamplerConfig, step_callback=None) -> SampleResult:
         out_idx, out_w = g.out_neighbors(node)
         # an out-list is distinct, so no index repeats in this update
         state.in_sample_indegree[out_idx] += out_w
-        cands = neighborhood(g, node)
-        return cands[~state.member_mask[cands]]
+        return neighborhood(g, node, state.member_mask)
 
     return run_criterion_crawl(g, cfg, state, "tcec", score_fn, on_admit, step_callback)

@@ -775,6 +775,28 @@ def test_induced_subgraph_keeps_exactly_inner_edges(g, data):
     assert got == want  # both in (src, dst) order, since the id map is increasing
 
 
+@st.composite
+def csr_and_rows(draw):
+    """A CSR ``indptr`` with empty rows, and rows to read from it:
+    repeated, unsorted, or none at all."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    rows = draw(st.lists(st.integers(0, len(counts) - 1), max_size=15))
+    return indptr, np.array(rows, dtype=np.int64)
+
+
+@given(csr_and_rows())
+def test_csr_rows_equals_per_row_concatenation(case):
+    indptr, rows = case
+    owner, pos = graph.csr_rows(indptr, rows)
+    ranges = [np.arange(indptr[r], indptr[r + 1]) for r in rows.tolist()]
+    want_pos = np.concatenate([np.zeros(0, dtype=np.int64), *ranges])
+    want_owner = np.repeat(np.arange(rows.size), [len(r) for r in ranges])
+    assert owner.dtype == pos.dtype == np.int64
+    assert np.array_equal(pos, want_pos)
+    assert np.array_equal(owner, want_owner)
+
+
 def test_induced_subgraph_validation(rng):
     g = random_digraph(10, 0.3, rng)
     with pytest.raises(ValidationError):

@@ -7,6 +7,8 @@ The criterion crawls' ``rescore_on_pop`` mode is held to the same standard:
 every pop sees fresh scores, as a rescan of the whole leaderboard gives.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,12 +24,13 @@ from netsample.samplers import (
     tcec_score,
     tcpr_score,
 )
-from netsample.samplers.base import Leaderboard
+from netsample.samplers.base import Leaderboard, neighborhood
 from netsample.synth import SbmSpec, generate_sbm
 
 from conftest import (
     ReferenceLeaderboard,
     brute_expansion,
+    reference_neighborhood,
     reference_sample_expansion,
     reference_sample_tcec,
     reference_sample_tcpr,
@@ -130,6 +133,39 @@ def test_expansion_matches_reference_sampler(g, data):
     )
     got = _outcome(sample_expansion, g, cfg)
     assert got == _outcome(reference_sample_expansion, g, cfg)
+
+
+@settings(max_examples=200)
+@given(g=expansion_graphs(), data=st.data())
+def test_neighborhood_skips_the_masked_nodes(g, data):
+    skip = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    for v in range(g.n):
+        want = reference_neighborhood(g, v)
+        plain = neighborhood(g, v)
+        assert plain.dtype == want.dtype and np.array_equal(plain, want)
+        got = neighborhood(g, v, skip)
+        assert got.dtype == want.dtype and np.array_equal(got, want[~skip[want]])
+        # a new array the caller owns, never a view of the graph's lists
+        for nb in (plain, got):
+            assert nb.flags.owndata and not np.shares_memory(nb, g._out_dst)
+
+
+def test_undirected_neighborhood_copies_the_list_once():
+    n = 200_000
+    hub = np.zeros(n - 1, dtype=np.int64)
+    g = Graph(n, hub, np.arange(1, n), np.ones(n - 1), directed=False)
+    skip = np.zeros(n, dtype=bool)
+    skip[:10] = True
+    assert not g.has_self_loop  # made on first use; not part of the call
+    tracemalloc.start()
+    try:
+        got = neighborhood(g, 0, skip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.size == n - 10
+    # the kept ids and two one-byte-per-id masks, not a second id array
+    assert peak < got.nbytes + 3 * n
 
 
 @pytest.mark.parametrize("directed", [False, True])
