@@ -296,10 +296,10 @@ def start(g, cfg: SamplerConfig):
     return np.random.default_rng(cfg.rng_seed)
 
 
-def neighborhood(g, node: int, skip: np.ndarray | None = None) -> np.ndarray:
+def neighborhood(g, node: int, skip: np.ndarray) -> np.ndarray:
     """Distinct in- and out-neighbors of ``node`` in ascending order,
-    excluding ``node`` itself and, when ``skip`` is given, every node that
-    the boolean mask ``skip`` flags.
+    excluding ``node`` itself and every node that the boolean mask ``skip``
+    flags.
 
     An undirected graph's in-list equals its out-list, which is sorted and
     distinct already, so only a directed graph needs the merge: each list is
@@ -308,19 +308,14 @@ def neighborhood(g, node: int, skip: np.ndarray | None = None) -> np.ndarray:
     what it returns.
     """
     out_idx, _ = g.out_neighbors(node)
+    keep = ~skip[out_idx]
     # only a self-loop puts ``node`` in its own lists
     if not g.directed:
-        if skip is None:
-            return out_idx[out_idx != node] if g.has_self_loop else out_idx.copy()
-        keep = ~skip[out_idx]
         if g.has_self_loop:
             keep &= out_idx != node
         return out_idx[keep]
     in_idx, _ = g.in_neighbors(node)
-    if skip is not None:
-        out_idx = out_idx[~skip[out_idx]]
-        in_idx = in_idx[~skip[in_idx]]
-    both = np.concatenate((out_idx, in_idx))
+    both = np.concatenate((out_idx[keep], in_idx[~skip[in_idx]]))
     both.sort()
     if g.has_self_loop:
         both = both[both != node]
@@ -422,19 +417,17 @@ def run_criterion_crawl(
     counters.update(scored_candidates=0, fallback_events=0, rw_steps=0)
     budget = STEP_BUDGET_FACTOR * m
     offered: list[int] = []  # the candidates of the latest admission, scored after it
-    offer, discard, draw = state.leaderboard.offer, state.leaderboard.discard, rng.random
-    explore_p = cfg.exploration_p
 
     def admit(node: int, tag: str) -> None:
         nonlocal offered
         state.add(node, tag)
-        discard(node)
+        state.leaderboard.discard(node)
         cands = on_admit(node)
-        if explore_p < 1.0:
+        if cfg.exploration_p < 1.0:
             # one draw per candidate, in candidate order
-            cands = cands[draw(cands.size) < explore_p]
+            cands = cands[rng.random(cands.size) < cfg.exploration_p]
         counters["scored_candidates"] += cands.size
-        offered = cands.tolist()
+        offer, offered = state.leaderboard.offer, cands.tolist()
         for cand in offered:
             offer(cand, score_fn(cand))
         if step_callback is not None:
@@ -462,7 +455,7 @@ def run_criterion_crawl(
             fresh = set(offered)
             for node in state.leaderboard.nodes():
                 if node not in fresh:
-                    offer(node, score_fn(node))
+                    state.leaderboard.offer(node, score_fn(node))
         node = state.leaderboard.pop_best()
         if node is not None:
             admit(node, "criterion")

@@ -228,11 +228,12 @@ def reference_sample_expansion(g: Graph, cfg) -> SampleResult:
     seed = pick_seed(cfg, g, rng)
     m = cfg.target_size
     nbh_cache: dict[int, np.ndarray] = {}
+    none = np.zeros(n, dtype=bool)
 
     def nbh(v):
         arr = nbh_cache.get(v)
         if arr is None:
-            arr = neighborhood(g, v)
+            arr = neighborhood(g, v, none)
             nbh_cache[v] = arr
         return arr
 

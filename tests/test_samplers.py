@@ -450,9 +450,10 @@ def test_neighborhood_on_undirected_graphs_equals_union(rng):
         m = int(rng.integers(0, 3 * n))
         # self-loops and duplicate pairs included
         g = Graph(n, rng.integers(0, n, m), rng.integers(0, n, m), np.ones(m), directed=False)
+        none = np.zeros(n, dtype=bool)
         for v in range(n):
             union = np.union1d(g.out_neighbors(v)[0], g.in_neighbors(v)[0])
-            got = neighborhood(g, v)
+            got = neighborhood(g, v, none)
             assert np.array_equal(got, union[union != v])
             assert got.dtype == union.dtype
 
@@ -485,8 +486,9 @@ def _state_holding(g, members, with_delta):
 def test_hot_paths_equal_loop_references_bitwise(g, data):
     members = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n))
     alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    none = np.zeros(g.n, dtype=bool)
     for v in range(g.n):
-        got, want = neighborhood(g, v), reference_neighborhood(g, v)
+        got, want = neighborhood(g, v, none), reference_neighborhood(g, v)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     state = _state_holding(g, members, with_delta=True)
     for j in range(g.n):

@@ -139,9 +139,10 @@ def test_expansion_matches_reference_sampler(g, data):
 @given(g=expansion_graphs(), data=st.data())
 def test_neighborhood_skips_the_masked_nodes(g, data):
     skip = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    none = np.zeros(g.n, dtype=bool)
     for v in range(g.n):
         want = reference_neighborhood(g, v)
-        plain = neighborhood(g, v)
+        plain = neighborhood(g, v, none)
         assert plain.dtype == want.dtype and np.array_equal(plain, want)
         got = neighborhood(g, v, skip)
         assert got.dtype == want.dtype and np.array_equal(got, want[~skip[want]])
