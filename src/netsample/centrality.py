@@ -132,8 +132,8 @@ def pivot_sources(n: int, count: int, seed: int) -> list[int]:
 def betweenness(g: Graph, sources=None) -> CentralityVector:
     """Brandes betweenness over hop-count shortest paths, endpoints excluded.
 
-    ``sources`` restricts the accumulation to a pivot subset; with all
-    sources (the default) the result is exact.
+    ``sources`` restricts the accumulation to a pivot subset of distinct
+    nodes; with all sources (the default) the result is exact.
 
     The sources run in blocks (see ``BLOCK_SLOTS`` and
     ``_block_dependencies``): a forward BFS finds each root's shortest-path
@@ -147,6 +147,9 @@ def betweenness(g: Graph, sources=None) -> CentralityVector:
         sources = np.arange(n, dtype=np.int64)
     else:
         sources = node_ids("betweenness source", sources, n)
+        ids, counts = np.unique(sources, return_counts=True)
+        if ids.size < sources.size:
+            raise ValidationError(f"betweenness source {ids[counts > 1][0]} given more than once")
     # a source with no out-edges adds only zeros
     sources = sources[g._out_indptr[sources + 1] > g._out_indptr[sources]]
     block = max(1, BLOCK_SLOTS // max(1, n + g.num_edges))

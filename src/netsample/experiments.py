@@ -117,6 +117,12 @@ class ExperimentSpec:
                 f"allowed: {', '.join(self.SEED_POLICIES)}"
             )
         self.samplers = [_sampler_entry(s) for s in _entries("samplers", self.samplers)]
+        names = [s["name"] for s in self.samplers]
+        for name in names:
+            at = [i for i, other in enumerate(names) if other == name]
+            if len(at) > 1:
+                # raw.csv rows and summary cells are keyed by the sampler's name
+                raise ValidationError(f"sampler {name!r} is listed more than once, at entries {at}")
         _checked_input(self.input)
 
     @classmethod

@@ -118,6 +118,10 @@ def test_spec_accepts_known_sampler_config_keys():
         ({"name": "rw", "confg": {}}, "sampler entry .*'confg'.*: expected a mapping"),
         ({"name": ["rw"]}, "unknown sampler \\['rw'\\]"),
         ({"name": "rw", "config": [1]}, "sampler 'rw': config must be a mapping, got \\[1\\]"),
+        (
+            {"name": "rn", "config": {"exploration_p": 1.0}},
+            "sampler 'rn' is listed more than once, at entries \\[0, 1\\]",
+        ),
     ],
 )
 def test_spec_rejects_malformed_sampler_entry(entry, message):
