@@ -16,9 +16,9 @@ Each metric is summarized over the pairs:
   distance between the parent's quartiles (``None`` when that is 0);
 * ``verdict``, the first that holds of:
 
-  - ``claim met``: the change wins at least nine tenths of the pairs and
-    its median is lower than the parent's by more than the parent's
-    interquartile range;
+  - ``claim met``: there are at least 10 pairs, the change wins at least
+    nine tenths of them, and its median is lower than the parent's by more
+    than the parent's interquartile range;
   - ``regression``: with a bound, the change's median exceeds the parent's
     by more than the bound, a fraction of the parent's median; with no
     bound, the parent meets the claim rule against the change;
@@ -60,6 +60,7 @@ import numpy as np
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # fewer pairs support no claim either way
 
 
 def last_line(stdout: str) -> dict:
@@ -93,11 +94,11 @@ def judge(parent: list[float], change: list[float], bound: float | None = None) 
     (p1, pm, p3), (c1, cm, c3) = quart["parent"], quart["change"]
     wins = sum(c < p for p, c in zip(parent, change))
     losses = sum(c > p for p, c in zip(parent, change))
-    need = 0.9 * len(parent)
-    if wins >= need and pm - cm > p3 - p1:
+    enough, need = len(parent) >= MIN_PAIRS, 0.9 * len(parent)
+    if enough and wins >= need and pm - cm > p3 - p1:
         said = "claim met"
     elif bound is None:
-        said = "regression" if losses >= need and cm - pm > p3 - p1 else "no change"
+        said = "regression" if enough and losses >= need and cm - pm > p3 - p1 else "no change"
     elif cm - pm > bound * pm:
         said = "regression"
     elif max(p3 - p1, c3 - c1) > bound * pm and not max(change) < min(parent):
@@ -117,8 +118,7 @@ def judge(parent: list[float], change: list[float], bound: float | None = None) 
 
 
 def summarize(runs: list[dict], bounds: dict) -> dict:
-    by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
-               for side in SIDES}
+    by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}  # in pair order
     return {
         name: judge(*([float(r["metrics"][name]) for r in by_side[side]] for side in SIDES),
                       bounds.get(name))
@@ -126,10 +126,10 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
     }
 
 
-def compare(parent, change, pairs: int, command: list[str], out, read=last_line,
+def compare(parent, change, pairs: int, child: list[str], out, read=last_line,
             bounds=None, **settings) -> dict:
     """Run the pairs, print each metric's summary and save every run in ``out``."""
-    runs = run_pairs(parent, change, pairs, command, read)
+    runs = run_pairs(parent, change, pairs, child, read)
     summary = summarize(runs, bounds or {})
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
@@ -181,7 +181,8 @@ def read_perfbench(stdout: str) -> dict:
     *_, line, last = stdout.splitlines()
     record, result = json.loads(line), json.loads(last)
     if result["failed"]:
-        raise RuntimeError(f"a perfbench run failed {result['failed']} of {result['attempted']} operations")
+        raise RuntimeError(
+            f"a perfbench run failed {result['failed']} of {result['attempted']} operations")
     calls = record["call_s"]
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     for name, values in calls.items():

@@ -25,6 +25,12 @@ def test_claim_is_met_at_nine_of_ten_wins_with_the_gap_above_the_iqr():
     assert s["verdict"] == "claim met"
 
 
+def test_fewer_than_ten_pairs_support_no_claim():
+    change = [p - 1.0 for p in PARENT]
+    assert pairs.judge(PARENT[:9], change[:9])["verdict"] == "no change"
+    assert pairs.judge(change[:9], PARENT[:9])["verdict"] == "no change"
+
+
 def test_claim_is_not_met_at_eight_of_ten_wins():
     change = [p - 1.0 for p in PARENT]
     change[3] = PARENT[3] + 0.5
@@ -138,3 +144,31 @@ def test_a_perfbench_run_reports_median_calls_and_setups_split_by_the_probe_besi
     assert "setup_s.fast_ref" not in got["metrics"]
     with pytest.raises(RuntimeError, match="failed 1 of 3"):
         pairs.read_perfbench(perfbench_stdout([1.0], [0.1], failed=1))
+
+
+FAKE_PERFBENCH = """
+import json
+print("table")
+record = {"digests": {"x": 1}, "call_s": {"setup": [1.0, 2.0], "reference": [0.1, 0.2], "op": [3.0, 1.0]}}
+print(json.dumps(record))
+metrics = {"job_ref": {"value": 5.0, "unit": "ref"}}
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_the_command_line_pairs_perfbench_runs_with_the_benchmarks_bounds(tmp_path, capsys):
+    roots = []
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(FAKE_PERFBENCH)
+        roots.append(str(tmp_path / name))
+    out = tmp_path / "BENCH_x.json"
+    args = ["--parent", roots[0], "--change", roots[1], "--workload", "community", "--seed", "0",
+            "--pairs", "2", "--out", str(out)]
+    assert pairs.main(args) == 0
+    record = json.loads(out.read_text())
+    assert record["command"] == "python3 perfbench/run.py --workload community --seed 0 --seconds 30 --trace 0"
+    assert record["summary"]["job_ref"]["bound"] == 0.25
+    assert record["summary"]["call_s.op"]["parent"]["median"] == 2.0
+    assert len(record["runs"]) == 4 and record["runs"][0]["result"]["failed"] == 0
+    assert "job_ref" in capsys.readouterr().out
