@@ -39,9 +39,9 @@ run must report ``failed`` 0. The metrics of a run are
   reference probe ``i``, and these are the medians of the set-ups beside
   probes at or below the run's median probe time, and above it.
 
-Run from the root of a checkout, with that checkout's ``src`` on the path:
+Run from the root of a checkout; it reads that checkout's ``BENCHMARK.json``:
 
-    PYTHONPATH=src python3 bench/pairs.py --parent PARENT_DIR --change . \\
+    python3 bench/pairs.py --parent PARENT_DIR --change . \\
         --workload community --seed 0 --pairs 10 --out BENCH_tag.json
 """
 
